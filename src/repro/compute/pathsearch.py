@@ -13,24 +13,24 @@ the wire at most once per search — until the region covers everything
 the beam could visit within ``max_hops`` (plus one ring of adjacency
 for the look-ahead term).  The existing memoised
 :class:`CoherentPathSearch` then runs unchanged over that region, with
-topic vectors from an LDA fit over the *union* document set.  Because
-the LDA fit depends only on the document set (sorted doc ids, seeded
-rng) and the region contains every edge the monolith beam could
-traverse, routes and their coherence scores match the monolith —
-including routes that cross shard boundaries.
+topic vectors from a :class:`~repro.qa.topicspace.TopicSpace` over the
+*union* entity/description set.  Because the topic space is a pure
+function of that set (base fit over the described documents, RNG-free
+fold-in for the rest) and the region contains every edge the monolith
+beam could traverse, routes and their coherence scores match the
+monolith — including routes that cross shard boundaries.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.compute.coordinator import ClusterGraphInfo, ComputeCoordinator
 from repro.compute.protocol import OP_EXPAND, edge_from_payload
 from repro.errors import QAError, VertexNotFoundError
 from repro.graph.property_graph import PropertyGraph
-from repro.qa.lda import LdaModel, LdaTopics
 from repro.qa.pathsearch import CoherentPathSearch, RankedPath
-from repro.qa.topics import assign_topic_vectors
+from repro.qa.topicspace import TopicSpace
 
 
 class DistributedPathSearch:
@@ -57,16 +57,11 @@ class DistributedPathSearch:
         if max_hops < 1:
             raise QAError("max_hops must be >= 1")
         self.coordinator = coordinator
-        self.n_topics = n_topics
-        self.lda_iterations = lda_iterations
-        self.seed = seed
+        self.topic_space = TopicSpace(
+            n_topics=n_topics, lda_iterations=lda_iterations, seed=seed
+        )
         self.max_hops = max_hops
         self.beam_width = beam_width
-        # The topic fit is a function of the union document set, which
-        # only changes when some shard's KG moves — cache it on the
-        # tuple of shard version stamps (the compute analogue of the
-        # cluster's composite cache stamp).
-        self._topics_cache: Optional[Tuple[Tuple[int, ...], LdaTopics]] = None
 
     # ------------------------------------------------------------------
     def resolve(self, mention: str) -> str:
@@ -99,41 +94,20 @@ class DistributedPathSearch:
         for vertex in (source, target):
             if vertex not in known:
                 raise VertexNotFoundError(vertex)
-        topics = self._fit_topics(info)
         region = self._expand_region(source, info)
         if not region.has_vertex(target):
             # Target unreachable within the hop budget: keep the search
             # well-defined (it returns no paths, like the monolith).
             region.add_vertex(target)
-        assign_topic_vectors(region, topics)
+        # Same vectors as every shard's own search: the descriptions
+        # are replicated, so each party derives the same base from them.
+        self.topic_space.annotate(region, info.documents)
         search = CoherentPathSearch(
             region, max_hops=self.max_hops, beam_width=self.beam_width
         )
         return search.top_k_paths(source, target, k=k, relationship=relationship)
 
     # ------------------------------------------------------------------
-    def _fit_topics(self, info: ClusterGraphInfo) -> LdaTopics:
-        """LDA over the union document set, byte-identical to a monolith
-        fit on the same entities + descriptions (the model sorts doc ids
-        and seeds its rng, so shard order cannot leak in)."""
-        if (
-            self._topics_cache is not None
-            and self._topics_cache[0] == info.kg_versions
-        ):
-            return self._topics_cache[1]
-        documents = {
-            entity: description or entity.replace("_", " ")
-            for entity, description in info.documents.items()
-        }
-        model = LdaModel(
-            n_topics=self.n_topics,
-            n_iterations=self.lda_iterations,
-            seed=self.seed,
-        )
-        topics = model.fit(documents)
-        self._topics_cache = (info.kg_versions, topics)
-        return topics
-
     def _expand_region(
         self, source: str, info: ClusterGraphInfo
     ) -> PropertyGraph:

@@ -35,9 +35,9 @@ from repro.nlp.parallel import (
     PipelineSpec,
 )
 from repro.nlp.pipeline import NlpPipeline, RawTriple
-from repro.qa.lda import LdaModel, LdaTopics
+from repro.qa.lda import LdaTopics
 from repro.qa.pathsearch import CoherentPathSearch, RankedPath
-from repro.qa.topics import assign_topic_vectors
+from repro.qa.topicspace import TopicSpace
 
 
 @dataclass
@@ -150,9 +150,16 @@ class Nous:
         self.estimator.retrain(self.kb.store)
         self._accepted_since_retrain = 0
         self._last_timestamp = 0.0
-        self._topic_state: Optional[LdaTopics] = None
+        # QA topic vectors: fitted lazily on the first path query, then
+        # maintained across KG versions (base fit keyed on description
+        # content, fold-in for everything ingest mints).
+        self.topic_space = TopicSpace(
+            n_topics=self.config.n_topics,
+            lda_iterations=self.config.lda_iterations,
+            seed=self.config.seed,
+        )
         self._topic_graph: Optional[PropertyGraph] = None
-        self._kb_version_at_topic_fit = -1
+        self._topic_graph_version = -1
         self.documents_ingested = 0
         # Raw extraction buffer feeding §3.3's semi-supervised pattern
         # expansion (bounded: only recent evidence matters).
@@ -565,30 +572,30 @@ class Nous:
 
     # ------------------------------------------------------------------
     def _topic_annotated_graph(self) -> PropertyGraph:
-        """KG property graph with LDA topic vectors, cached on the KB's
-        monotonic version stamp (any fact/entity mutation invalidates)."""
+        """KG property graph with topic vectors on every vertex.
+
+        The graph is rebuilt whenever the KB's version stamp moves (any
+        fact/entity mutation); the topic model behind the vectors is
+        not — :class:`~repro.qa.topicspace.TopicSpace` refits only when
+        the set of described documents changed.
+        """
         if (
             self._topic_graph is not None
-            and self._kb_version_at_topic_fit == self.kb.version
+            and self._topic_graph_version == self.kb.version
         ):
             return self._topic_graph
-        documents = {
-            entity: self.kb.description(entity) or entity.replace("_", " ")
-            for entity in self.kb.entities()
-        }
-        model = LdaModel(
-            n_topics=self.config.n_topics,
-            n_iterations=self.config.lda_iterations,
-            seed=self.config.seed,
-        )
-        self._topic_state = model.fit(documents)
+        version = self.kb.version
         graph = self.kb.to_property_graph()
-        assign_topic_vectors(graph, self._topic_state)
+        self.topic_space.annotate(
+            graph,
+            {entity: self.kb.description(entity) for entity in self.kb.entities()},
+        )
         self._topic_graph = graph
-        self._kb_version_at_topic_fit = self.kb.version
+        self._topic_graph_version = version
         return graph
 
     @property
     def topics(self) -> Optional[LdaTopics]:
-        """The last fitted LDA state (None before any QA query)."""
-        return self._topic_state
+        """The base LDA fit behind the topic vectors (None before any
+        QA query)."""
+        return self.topic_space.base

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -13,11 +13,19 @@ TOPIC_PROP = "topics"
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence (base-2 logs, in [0, 1])."""
+    """Jensen-Shannon divergence (base-2 logs, in [0, 1]).
+
+    An all-zero vector is no distribution at all; it is maximally far
+    from everything (1.0) rather than NaN, which would poison every
+    coherence comparison downstream.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    p = p / p.sum()
-    q = q / q.sum()
+    p_total, q_total = p.sum(), q.sum()
+    if p_total == 0 or q_total == 0:
+        return 1.0
+    p = p / p_total
+    q = q / q_total
     m = 0.5 * (p + q)
 
     def kl(a: np.ndarray, b: np.ndarray) -> float:
@@ -41,12 +49,11 @@ def assign_topic_vectors(
         Number of vertices that received a *fitted* (non-uniform) vector.
     """
     theta = topics.theta()
-    index_of: Dict[str, int] = {d: i for i, d in enumerate(topics.doc_ids)}
     n_topics = theta.shape[1]
     uniform = np.full(n_topics, 1.0 / n_topics)
     fitted = 0
     for vertex in graph.vertices():
-        row = index_of.get(vertex if isinstance(vertex, str) else str(vertex))
+        row = topics.row_of(str(vertex))
         if row is not None:
             graph.set_vertex_prop(vertex, TOPIC_PROP, theta[row])
             fitted += 1

@@ -9,7 +9,7 @@ has a small family of accepted phrasings.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Tuple
 
 from repro.errors import QueryParseError
 from repro.linking.predicate_mapping import normalize_relation
@@ -114,7 +114,33 @@ _VERB_PREDICATES = {
     "regulate": "regulates",
     "manufacture": "manufactures",
     "make": "manufactures",
+    "supply": "suppliesTo",
 }
+
+
+def _split_at_verb(subject: str, verb: str, target: str) -> Tuple[str, str, str]:
+    """Re-split a ``why does S <verb> T`` match at the first known verb.
+
+    The template's lazy ``S`` stops at the first space, so a multi-word
+    subject ("General Atomics supply drones") comes out as S="General",
+    verb="Atomics" — and linking those fragments *mints* entities, i.e.
+    a read moves the KG stamp.  Splitting at the first token that
+    normalises to a :data:`_VERB_PREDICATES` verb keeps the subject
+    whole; a lower-case candidate wins over a capitalised one, which is
+    more likely part of a name ("Accel Partners fund DJI").  With no
+    known verb the template's own split stands.
+    """
+    tokens = f"{subject} {verb} {target}".split()
+    candidates = [
+        i
+        for i in range(1, len(tokens) - 1)
+        if normalize_relation(tokens[i]) in _VERB_PREDICATES
+    ]
+    if not candidates:
+        return subject, verb, target
+    lower_case = [i for i in candidates if tokens[i].islower()]
+    i = (lower_case or candidates)[0]
+    return " ".join(tokens[:i]), tokens[i], " ".join(tokens[i + 1:])
 
 
 def _normalize_mention(mention: str) -> str:
@@ -179,14 +205,16 @@ def parse_query(text: str) -> Query:
         match = regex.match(stripped)
         if match:
             groups = match.groupdict()
-            verb = groups.get("v")
-            relationship = _VERB_PREDICATES.get(
-                normalize_relation(verb) if verb else "", None
-            )
+            source, target, relationship = groups["s"], groups["t"], None
+            if groups.get("v"):
+                source, verb, target = _split_at_verb(
+                    source, groups["v"], target
+                )
+                relationship = _VERB_PREDICATES.get(normalize_relation(verb))
             return ExplanatoryQuery(
                 text=lowered,
-                source=_normalize_mention(groups["s"]),
-                target=_normalize_mention(groups["t"]),
+                source=_normalize_mention(source),
+                target=_normalize_mention(target),
                 relationship=relationship,
             )
 

@@ -332,9 +332,8 @@ def restore_nous(nous: Nous, state: Dict[str, Any]) -> None:
         (raw_triple_from_wire(r) for r in state["nous"]["raw_buffer"]),
         maxlen=nous._raw_buffer.maxlen,
     )
-    nous._topic_state = None
     nous._topic_graph = None
-    nous._kb_version_at_topic_fit = -1
+    nous._topic_graph_version = -1
 
     _force_counters(
         nous,

@@ -250,6 +250,15 @@ class TestEnvelopeDiscipline:
         assert response.kg_version == service.nous.dynamic.version
         assert "DJI" in response.rendered
 
+    def test_multiword_why_query_leaves_kg_version_alone(self, service):
+        """Regression: the why-template split "Frank Wang" at its first
+        space and the linker minted the fragments — a read moved the
+        stamp (and with it every version-keyed cache)."""
+        before = service.kg_version
+        response = service.query("why does Frank Wang use drones")
+        assert response.ok and response.kind == "explanatory"
+        assert response.kg_version == before == service.kg_version
+
     def test_query_cache_flag_propagates(self, service):
         service.engine.clear_cache()
         assert not service.query("tell me about GoPro").cached

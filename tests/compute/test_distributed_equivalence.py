@@ -30,15 +30,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import NousConfig, NousService, ServiceConfig
+from repro import NousConfig, NousService, ServiceConfig, build_drone_kb
 from repro.api.cluster.service import ShardedNousService
 from repro.compute import DistributedPathSearch
 from repro.errors import QAError, VertexNotFoundError
 from repro.graph.algorithms import connected_components, pagerank
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.qa.lda import LdaModel
 from repro.qa.pathsearch import CoherentPathSearch
-from repro.qa.topics import assign_topic_vectors
 
 _SETTINGS = settings(
     max_examples=10,
@@ -112,9 +110,9 @@ def _config() -> NousConfig:
     )
 
 
-def _monolith(facts) -> NousService:
+def _monolith(facts, kb=None) -> NousService:
     service = NousService(
-        kb=KnowledgeBase(),
+        kb=kb if kb is not None else KnowledgeBase(),
         config=_config(),
         service_config=ServiceConfig(auto_start=False),
     )
@@ -122,38 +120,29 @@ def _monolith(facts) -> NousService:
     return service
 
 
-def _cluster(facts, num_shards, shard_mode="local") -> ShardedNousService:
+def _cluster(
+    facts, num_shards, shard_mode="local", kb_spec="empty"
+) -> ShardedNousService:
     cluster = ShardedNousService(
         num_shards=num_shards,
         config=_config(),
         service_config=ServiceConfig(auto_start=False),
         shard_mode=shard_mode,
-        kb_spec="empty",
+        kb_spec=kb_spec,
     )
     assert cluster.ingest_facts(facts, date="2015-06-01").ok
     return cluster
 
 
 def _reference_search(mono: NousService) -> CoherentPathSearch:
-    """The monolith's topic-annotated search, lossless-beam variant —
-    built exactly like ``Nous._topic_annotated_graph`` so the LDA fit
-    (sorted doc ids, seeded rng) is byte-identical to the cluster's
-    union-document fit."""
+    """The monolith's own topic-annotated graph under the monolith's
+    search settings — the cluster's topic space must derive the same
+    vectors from the union entity/description set."""
     config = _config()
-    kb = mono.nous.kb
-    documents = {
-        entity: kb.description(entity) or entity.replace("_", " ")
-        for entity in kb.entities()
-    }
-    topics = LdaModel(
-        n_topics=config.n_topics,
-        n_iterations=config.lda_iterations,
-        seed=config.seed,
-    ).fit(documents)
-    graph = kb.to_property_graph()
-    assign_topic_vectors(graph, topics)
     return CoherentPathSearch(
-        graph, max_hops=config.max_hops, beam_width=config.beam_width
+        mono.nous._topic_annotated_graph(),
+        max_hops=config.max_hops,
+        beam_width=config.beam_width,
     )
 
 
@@ -201,6 +190,47 @@ class TestPathSearchEquivalence:
             assert _route_set(
                 distributed.top_k_paths("Alpha", "Delta", k=50)
             ) == _route_set(reference.top_k_paths("Alpha", "Delta", k=50))
+        finally:
+            mono.close()
+            cluster.close()
+
+    #: New entities around a *described* curated base: the base fit is
+    #: over the replicated descriptions, the newcomers are folded in.
+    _DESCRIBED_FACTS = [
+        ("Acme_Drone_Works", "partnerOf", "DJI"),
+        ("Acme_Drone_Works", "acquired", "Zed_Capital"),
+        ("Zed_Capital", "investsIn", "GoPro"),
+        ("Rotor_Camera_Labs", "partnerOf", "Zed_Capital"),
+        ("Rotor_Camera_Labs", "suppliesTo", "Parrot"),
+    ]
+
+    @pytest.mark.parametrize("shard_mode", ["local", "process"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_described_base_matches_monolith(self, num_shards, shard_mode):
+        if shard_mode == "process":
+            _require_pinned_hashseed()
+        mono = _monolith(self._DESCRIBED_FACTS, kb=build_drone_kb())
+        cluster = _cluster(
+            self._DESCRIBED_FACTS, num_shards, shard_mode, kb_spec="drone"
+        )
+        try:
+            reference = _reference_search(mono)
+            distributed = _distributed_search(cluster)
+            for source, target in [
+                ("GoPro", "Parrot"), ("Rotor_Camera_Labs", "DJI"),
+            ]:
+                expected = _route_set(reference.top_k_paths(source, target, k=50))
+                assert expected
+                assert _route_set(
+                    distributed.top_k_paths(source, target, k=50)
+                ) == expected
+            # One base over the curated descriptions on both sides; the
+            # minted entities took part in neither fit.
+            assert (
+                distributed.topic_space.base.doc_ids
+                == mono.nous.topics.doc_ids
+                == sorted(e for e in build_drone_kb().entities())
+            )
         finally:
             mono.close()
             cluster.close()

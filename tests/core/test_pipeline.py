@@ -139,14 +139,18 @@ class TestQueries:
         rendered = stats.render()
         assert "confidence histogram" in rendered
 
-    def test_topics_cached_until_growth(self, built_nous):
+    def test_topic_graph_follows_growth_without_refitting(self, built_nous):
         g1 = built_nous._topic_annotated_graph()
         g2 = built_nous._topic_annotated_graph()
         assert g1 is g2
+        base = built_nous.topics
         built_nous.kb.add_fact("DJI", "partnerOf", "GoPro", curated=False,
                                confidence=0.5, source="test")
         g3 = built_nous._topic_annotated_graph()
         assert g3 is not g1
+        assert any(e.label == "partnerOf" for e in g3.edges_between("DJI", "GoPro"))
+        # A new fact changes the graph, not the described documents.
+        assert built_nous.topics is base
 
 
 class TestDynamicKnowledgeGraph:

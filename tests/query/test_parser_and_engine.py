@@ -64,6 +64,30 @@ class TestParser:
         assert query.target == "drones"
         assert query.relationship == "usesTechnology"
 
+    @pytest.mark.parametrize("text,source,target,relationship", [
+        # The lazy subject group used to stop at the first space.
+        ("why does General Atomics supply drones",
+         "general atomics", "drones", "suppliesTo"),
+        ("why does Frank Wang use drones?", "frank wang", "drones",
+         "usesTechnology"),
+        ("why did Amazon Prime Air acquire Kiva Systems",
+         "amazon prime air", "kiva systems", "acquired"),
+        # "Partners" normalises to a known verb too; the lower-case
+        # candidate is the verb, the capitalised one part of the name.
+        ("why does Accel Partners fund DJI", "accel partners", "dji", "fundedBy"),
+        ("why does accel partners fund dji", "accel", "fund dji", "partnerOf"),
+        # No known verb anywhere: the template's own split stands.
+        ("why does General Atomics fly drones", "general", "fly drones", None),
+    ])
+    def test_explanatory_multiword_subject(
+        self, text, source, target, relationship
+    ):
+        query = parse_query(text)
+        assert isinstance(query, ExplanatoryQuery)
+        assert (query.source, query.target, query.relationship) == (
+            source, target, relationship
+        )
+
     def test_explanatory_related(self):
         query = parse_query("why is DJI related to Accel Partners")
         assert isinstance(query, ExplanatoryQuery)
@@ -261,6 +285,17 @@ class TestQueryEngine:
         assert result.kind == "explanatory"
         # Path exists via usesTechnology edges in the curated KB
         assert result.result_count >= 1
+
+    def test_multiword_why_query_is_a_pure_read(self, engine):
+        """Mis-split subject fragments ("frank" / "use drones") used to
+        be minted as entities, so a *read* moved the KG stamp."""
+        kb = engine.nous.kb
+        version, entities = kb.version, kb.entities()
+        result = engine.execute_text("why does Frank Wang use drones")
+        assert result.kind == "explanatory"
+        assert result.result_count >= 1
+        assert kb.version == version
+        assert kb.entities() == entities
 
     def test_pattern_query(self, engine):
         result = engine.execute_text(
