@@ -202,8 +202,6 @@ class TenantRegistryLike(Protocol):
 
     def spec(self, name: str) -> "TenantSpec": ...
 
-    def tenant_names(self) -> List[str]: ...
-
     def describe(self) -> List[Dict[str, Any]]: ...
 
     def create(self, spec: "TenantSpec") -> Dict[str, Any]: ...

@@ -89,6 +89,11 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 #: ``/v1/t/<tenant>/...`` path segment takes precedence over it.
 TENANT_HEADER = "X-Nous-Tenant"
 
+#: Upper bound (seconds) on delta-delivery latency for subscribe
+#: streams: how long the stream loop waits for the subscription's wake
+#: callback before polling anyway (the callback usually beats it).
+SUBSCRIBE_POLL_INTERVAL = 0.05
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -103,8 +108,6 @@ class GatewayConfig:
         heartbeat_interval: Seconds between keepalive frames on an idle
             subscribe stream (also how quickly a dead subscriber is
             detached when no deltas flow).
-        poll_interval: Upper bound on delta-delivery latency for
-            subscribe streams (the wake callback usually beats it).
         wait_timeout: Deadline for ``?wait=1`` ingests; exceeded waits
             return 504 (the document stays queued).
         max_tickets: Tickets kept for ``GET /v1/ingest/<id>`` polling;
@@ -136,7 +139,6 @@ class GatewayConfig:
     port: int = 0
     max_body_bytes: int = 1 << 20
     heartbeat_interval: float = 10.0
-    poll_interval: float = 0.05
     wait_timeout: float = 60.0
     max_tickets: int = 1024
     idle_timeout: float = 120.0
@@ -154,8 +156,6 @@ class GatewayConfig:
             raise ConfigError("shared_cache_entries must be >= 1")
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be > 0")
-        if self.poll_interval <= 0:
-            raise ConfigError("poll_interval must be > 0")
         if self.max_tickets < 1:
             raise ConfigError("max_tickets must be >= 1")
         if self.idle_timeout <= 0:
@@ -1381,7 +1381,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             if deadline is not None and now >= deadline:
                 reason = "max_seconds"
                 break
-            timeout = self.gateway.config.poll_interval
+            timeout = SUBSCRIBE_POLL_INTERVAL
             if deadline is not None:
                 timeout = min(timeout, max(deadline - now, 0.0))
             wake.wait(timeout=timeout)

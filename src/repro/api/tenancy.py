@@ -213,10 +213,6 @@ class TenantRegistry:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def tenant_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._specs)
-
     def spec(self, name: str) -> TenantSpec:
         with self._lock:
             spec = self._specs.get(name)

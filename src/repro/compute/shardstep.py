@@ -3,16 +3,17 @@
 One :class:`ComputeStepExecutor` lives on each shard's service facade
 (:meth:`repro.api.service.NousService.compute_step` delegates here,
 under the shard's engine lock).  Every request is a complete, stateless
-superstep: the executor materialises the shard's KG partition as a
-property graph (cached on the KB's monotonic version stamp, like the
-topic-annotated QA graph), applies the edge-ownership rule from
-:mod:`repro.compute.protocol`, and answers with only the boundary data
-the coordinator asked for — never job state.
+superstep: the executor reads the shard's KG partition from the KB's
+maintained property graph (:meth:`KnowledgeBase.graph_view` — the same
+object every other whole-graph reader on the shard uses, never a copy),
+applies the edge-ownership rule from :mod:`repro.compute.protocol`, and
+answers with only the boundary data the coordinator asked for — never
+job state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.compute.protocol import (
     MINE_PHASE_CENSUS,
@@ -37,7 +38,7 @@ from repro.compute.protocol import (
 from repro.core.pipeline import Nous
 from repro.errors import ConfigError
 from repro.graph.algorithms import _order_key
-from repro.graph.property_graph import Edge, PropertyGraph
+from repro.graph.property_graph import Edge
 
 
 class ComputeStepExecutor:
@@ -51,8 +52,6 @@ class ComputeStepExecutor:
 
     def __init__(self, nous: Nous) -> None:
         self._nous = nous
-        self._graph: Optional[PropertyGraph] = None
-        self._graph_kb_version = -1
 
     # ------------------------------------------------------------------
     def execute(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -84,21 +83,10 @@ class ComputeStepExecutor:
         ).to_wire()
 
     # ------------------------------------------------------------------
-    def _partition_graph(self) -> PropertyGraph:
-        """The shard KB as a property graph, cached on ``kb.version``."""
-        if (
-            self._graph is not None
-            and self._graph_kb_version == self._nous.kb.version
-        ):
-            return self._graph
-        self._graph = self._nous.kb.to_property_graph()
-        self._graph_kb_version = self._nous.kb.version
-        return self._graph
-
     def _owned_edges(self, req: ComputeRequest) -> List[Edge]:
         """Edges of the local partition this shard owns in the merged graph."""
         disown = disown_param(req.params.get("disown"))
-        graph = self._partition_graph()
+        graph = self._nous.kb.graph_view()
         return [
             edge
             for edge in graph.edges()
@@ -109,7 +97,7 @@ class ComputeStepExecutor:
     # ops
     # ------------------------------------------------------------------
     def _graph_info(self, req: ComputeRequest) -> Dict[str, Any]:
-        graph = self._partition_graph()
+        graph = self._nous.kb.graph_view()
         result: Dict[str, Any] = {
             "vertices": sorted(str(v) for v in graph.vertices()),
             "extracted": [
@@ -157,7 +145,7 @@ class ComputeStepExecutor:
         frontier = [str(v) for v in req.params.get("vertices", [])]
         skip = frozenset(str(v) for v in req.params.get("skip", []))
         disown = disown_param(req.params.get("disown"))
-        graph = self._partition_graph()
+        graph = self._nous.kb.graph_view()
         seen_eids: Set[int] = set()
         edges: List[Edge] = []
         for vertex in frontier:
@@ -180,7 +168,7 @@ class ComputeStepExecutor:
         destination over this shard's owned out-edges."""
         shares = req.params.get("shares", {})
         disown = disown_param(req.params.get("disown"))
-        graph = self._partition_graph()
+        graph = self._nous.kb.graph_view()
         contrib: Dict[str, float] = {}
         for src in sorted(shares):
             if not graph.has_vertex(src):
@@ -285,7 +273,7 @@ class ComputeStepExecutor:
         """The ship-everything baseline: the *entire* local partition,
         ownership ignored — what a router would have to pull from every
         shard to rebuild the merged graph centrally."""
-        graph = self._partition_graph()
+        graph = self._nous.kb.graph_view()
         kb = self._nous.kb
         edges = sorted(
             graph.edges(), key=lambda e: (str(e.src), e.label, str(e.dst))

@@ -15,15 +15,16 @@ Knowledge Graph".
 
 A monotonic :attr:`DynamicKnowledgeGraph.version` stamp moves forward on
 every observable change (persisted facts, window adds and evictions);
-the query-result cache keys on it.  :meth:`accept_batch` is the batched
-counterpart of :meth:`accept_fact` — identical final state, with
-window-doomed facts never streamed to the miner.
+the query-result cache keys on it.  :meth:`accept_batch` is the one
+accept path (:meth:`accept_fact` is a batch of one); facts of a batch
+that outruns the window are persisted but never streamed to the miner.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Tuple
 
+from repro.graph.property_graph import PropertyGraph
 from repro.graph.temporal import CountWindow, DynamicGraph, TimeWindow
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.ontology import Ontology
@@ -63,30 +64,15 @@ class DynamicKnowledgeGraph:
     def accept_fact(
         self, mapped: MappedTriple, confidence: float, timestamp: float
     ) -> None:
-        """Persist an accepted extracted fact and stream it to the miner."""
-        self.kb.add_fact(
-            mapped.subject,
-            mapped.predicate,
-            mapped.object,
-            confidence=confidence,
-            source=mapped.source or "extracted",
-            date=mapped.date,
-            curated=False,
-        )
-        self.window.add_edge(
-            mapped.subject,
-            mapped.object,
-            mapped.predicate,
-            timestamp=timestamp,
-            confidence=confidence,
-            source=mapped.source,
-        )
-        self.facts_streamed += 1
+        """Persist one accepted fact and stream it to the miner (a batch
+        of one: nothing is doomed)."""
+        self.accept_batch([(mapped, confidence, timestamp)])
 
     def accept_batch(
         self, facts: Sequence[Tuple[MappedTriple, float, float]]
     ) -> int:
-        """Persist a batch of accepted facts, amortising miner updates.
+        """Persist a batch of accepted facts and stream them to the
+        miner, amortising miner updates.
 
         A fact that enters the sliding window and is evicted again before
         the batch ends (batch longer than the window capacity) is a *net
@@ -94,9 +80,10 @@ class DynamicKnowledgeGraph:
         add-then-remove embedding updates cancel exactly, and no query
         can observe the intermediate state.  The batch path persists such
         facts to the KB but skips streaming them, so the final KB, window
-        content and miner supports are identical to the sequential path
-        while the doomed stream updates are never paid.  (Only the
-        ``total_added`` / ``total_evicted`` window counters differ.)
+        content and miner supports are identical to accepting the facts
+        one at a time while the doomed stream updates are never paid.
+        (Only the ``total_added`` / ``total_evicted`` window counters
+        differ.)
 
         Args:
             facts: ``(mapped, confidence, timestamp)`` tuples in
@@ -190,12 +177,7 @@ class DynamicKnowledgeGraph:
         """Current closed frequent patterns with transition events."""
         return self.miner.report(timestamp=timestamp)
 
-    def graph_view(self, min_confidence: float = 0.0):
-        """Property-graph view of the full accumulated KG.
-
-        The unfiltered view is the KB's shared incremental mirror (no
-        rebuild); confidence-filtered views are materialised on demand.
-        """
-        if min_confidence <= 0.0:
-            return self.kb.graph_view()
-        return self.kb.to_property_graph(min_confidence=min_confidence)
+    def graph_view(self) -> PropertyGraph:
+        """Alias of :meth:`KnowledgeBase.graph_view` (the one maintained
+        property graph of the accumulated KG)."""
+        return self.kb.graph_view()

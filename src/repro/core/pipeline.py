@@ -5,11 +5,11 @@ entity linking + predicate mapping → confidence estimation → dynamic KG
 update → (on demand) trending reports, entity summaries and explanatory
 path answers.
 
-Two ingestion paths share that machinery: :meth:`Nous.ingest` processes
-one document at a time (the streaming case), while
-:meth:`Nous.ingest_batch` amortises the per-document fixed costs —
-collective entity linking, confidence retraining and window-doomed miner
-updates — across a whole batch (the catch-up / bulk-load case).
+There is one ingestion path: :meth:`Nous.ingest_batch` amortises the
+per-document fixed costs — collective entity linking, confidence
+retraining and window-doomed miner updates — across a whole batch (the
+catch-up / bulk-load case); :meth:`Nous.ingest` is a batch of one (the
+streaming case).
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class Nous:
             lda_iterations=self.config.lda_iterations,
             seed=self.config.seed,
         )
-        self._topic_graph: Optional[PropertyGraph] = None
-        self._topic_graph_version = -1
+        # kb.version the mirror's ``topics`` vertex props were set at.
+        self._topics_version = -1
         self.documents_ingested = 0
         # Raw extraction buffer feeding §3.3's semi-supervised pattern
         # expansion (bounded: only recent evidence matters).
@@ -177,47 +177,25 @@ class Nous:
         date: Optional[SimpleDate] = None,
         source: str = "unknown",
     ) -> IngestResult:
-        """Run the full §3.2-§3.4 pipeline on one document."""
-        result = IngestResult(doc_id=doc_id)
-        document = self.nlp.process(text, doc_id=doc_id, doc_date=date, source=source)
-        result.raw_triples = len(document.triples)
-        if not document.triples:
-            self.documents_ingested += 1
-            return result
-
-        context_words = [w for s in document.sentences for w in s.sentence.words()]
-        self._raw_buffer.extend(document.triples)
-        mapped, rejected = self.mapper.map_document(
-            document.triples, context_words=context_words
-        )
-        for rej in rejected:
-            result.rejected_mapping[rej.reason] += 1
-
-        timestamp = self._timestamp_for(date)
-        for triple in mapped:
-            confidence = self._score_and_gate(triple, result)
-            if confidence is None:
-                continue
-            self.dynamic.accept_fact(triple, confidence, timestamp)
-
-        self._maybe_retrain()
-        self.documents_ingested += 1
-        return result
+        """Run the full §3.2-§3.4 pipeline on one document (a batch of
+        one: a singleton batch dooms nothing and retrains at the same
+        point, so state, counters and stamps match)."""
+        article = ExtractionJob(text=text, doc_id=doc_id, date=date, source=source)
+        return self.ingest_batch([article])[0]
 
     def _score_and_gate(
         self,
         triple: MappedTriple,
         result: IngestResult,
-        batch_keys: Optional[set] = None,
+        batch_keys: set,
     ) -> Optional[float]:
         """Confidence-gate one mapped triple: score it, update source
         trust, and record the outcome on ``result``.
 
-        Shared by the sequential and batch paths so acceptance semantics
-        cannot drift between them.  ``batch_keys`` holds the (s, p, o)
-        keys accepted earlier in the current batch but not yet persisted,
-        so the agreement/contradiction signal matches the sequential path
-        (which persists each fact before scoring the next).
+        ``batch_keys`` holds the (s, p, o) keys accepted earlier in the
+        current batch but not yet persisted, so the agreement /
+        contradiction signal is the one a fact-at-a-time stream (which
+        persists each fact before scoring the next) would see.
 
         Returns:
             The final confidence when accepted, ``None`` when rejected.
@@ -229,8 +207,8 @@ class Nous:
             return None
         key = (triple.subject, triple.predicate, triple.object)
         already_known = (
-            batch_keys is not None and key in batch_keys
-        ) or self.kb.store.get(*key) is not None
+            key in batch_keys or self.kb.store.get(*key) is not None
+        )
         self.estimator.update_trust_from_kb(triple, in_kb=already_known)
         result.accepted += 1
         result.accepted_triples.append((*key, confidence))
@@ -269,7 +247,7 @@ class Nous:
     ) -> List[IngestResult]:
         """Ingest a batch of articles through the amortised hot path.
 
-        Functionally equivalent to calling :meth:`ingest` per article,
+        Functionally equivalent to one :meth:`ingest` call per article,
         but the per-document fixed costs are shared across the batch:
 
         - **entity linking** runs once, collectively, over the batch's
@@ -288,7 +266,7 @@ class Nous:
         independent until linking, and pool results are re-ordered to
         submission order, so output is byte-identical either way);
         acceptance gating, trust updates and stream timestamps follow
-        the same order as the sequential path.
+        the same order as a document-at-a-time stream.
 
         Args:
             articles: :class:`repro.data.articles.Article`-like objects
@@ -326,16 +304,12 @@ class Nous:
             for rej in rejected:
                 result.rejected_mapping[rej.reason] += 1
             if not result.raw_triples:
-                # Sequential ingest returns before consuming a stream
-                # timestamp for triple-less documents; mirror that, or
-                # every later fact would carry a shifted timestamp.
+                # A triple-less document consumes no stream timestamp.
                 self.documents_ingested += 1
                 continue
             timestamp = self._timestamp_for(article.date)
             for triple in mapped:
-                confidence = self._score_and_gate(
-                    triple, result, batch_keys=batch_keys
-                )
+                confidence = self._score_and_gate(triple, result, batch_keys)
                 if confidence is None:
                     continue
                 accepted_facts.append((triple, confidence, timestamp))
@@ -358,10 +332,9 @@ class Nous:
         """Extract every article: ``(triples, context_words-or-None)``
         per document, in input order.
 
-        This is the single seam both the serial and the pooled path go
-        through — the durability recorder wraps it to count extracted
-        raws, and fanning out across ``extract_workers`` processes
-        happens entirely inside it.
+        This is the single extraction seam — the durability recorder
+        wraps it to count extracted raws, and fanning out across
+        ``extract_workers`` processes happens entirely inside it.
         """
         if self.config.extract_workers > 1 and len(articles) > 1:
             jobs = [
@@ -572,26 +545,22 @@ class Nous:
 
     # ------------------------------------------------------------------
     def _topic_annotated_graph(self) -> PropertyGraph:
-        """KG property graph with topic vectors on every vertex.
+        """The KB's graph mirror with a topic vector on every vertex.
 
-        The graph is rebuilt whenever the KB's version stamp moves (any
-        fact/entity mutation); the topic model behind the vectors is
-        not — :class:`~repro.qa.topicspace.TopicSpace` refits only when
-        the set of described documents changed.
+        The vectors are set in place as the mirror's ``topics`` vertex
+        prop, again whenever the KB's version stamp moved (a memo lookup
+        per vertex); the topic model behind them is not refitted —
+        :class:`~repro.qa.topicspace.TopicSpace` refits only when the
+        set of described documents changed.
         """
-        if (
-            self._topic_graph is not None
-            and self._topic_graph_version == self.kb.version
-        ):
-            return self._topic_graph
+        graph = self.kb.graph_view()
         version = self.kb.version
-        graph = self.kb.to_property_graph()
-        self.topic_space.annotate(
-            graph,
-            {entity: self.kb.description(entity) for entity in self.kb.entities()},
-        )
-        self._topic_graph = graph
-        self._topic_graph_version = version
+        if self._topics_version != version:
+            self.topic_space.annotate(
+                graph,
+                {e: self.kb.description(e) for e in self.kb.entities()},
+            )
+            self._topics_version = version
         return graph
 
     @property

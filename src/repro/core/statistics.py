@@ -108,8 +108,9 @@ def compute_statistics(kb: KnowledgeBase, top_central: int = 8) -> GraphStatisti
             extracted_confidences
         )
     if top_central > 0 and stats.num_facts > 0:
-        ranks = pagerank(kb.to_property_graph(), max_iterations=20)
+        ranks = pagerank(kb.graph_view(), max_iterations=20)
+        # Ties break by name, as in merge_statistics and render().
         stats.central_entities = sorted(
-            ranks.items(), key=lambda kv: -kv[1]
+            ranks.items(), key=lambda kv: (-kv[1], kv[0])
         )[:top_central]
     return stats

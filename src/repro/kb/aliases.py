@@ -7,7 +7,7 @@ curated KB aliases or incrementally as new entities stream in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 def normalize_alias(text: str) -> str:
@@ -62,9 +62,6 @@ class AliasDictionary:
         """All normalised aliases registered for an entity."""
         return set(self._entity_to_aliases.get(entity, set()))
 
-    def is_known(self, mention: str) -> bool:
-        return normalize_alias(mention) in self._alias_to_entities
-
     def entities(self) -> Set[str]:
         return set(self._entity_to_aliases)
 
@@ -76,8 +73,3 @@ class AliasDictionary:
         for alias, slots in other._alias_to_entities.items():
             for entity, count in slots.items():
                 self.add(alias, entity, count)
-
-    def bulk_add(self, pairs: Iterable[tuple]) -> None:
-        """Add many ``(alias, entity)`` pairs."""
-        for alias, entity in pairs:
-            self.add(alias, entity)

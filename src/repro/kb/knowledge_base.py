@@ -7,15 +7,16 @@ the container the *dynamic* KG grows in — extracted facts are added with
 Query-efficiency layer (maintained incrementally, never by rescans):
 
 - a monotonic :attr:`KnowledgeBase.version` stamp, bumped on every
-  mutation, which downstream caches (query results, topic graphs) key on;
+  mutation, which downstream caches (query results, topic annotation)
+  key on;
 - an exact-type index behind :meth:`entities_of_type`, so taxonomy-aware
   entity lookups no longer scan every entity;
-- a shared, incrementally-maintained property-graph mirror behind
+- one incrementally-maintained property-graph mirror behind
   :meth:`graph_view`: every accepted fact is applied to the mirror as it
-  arrives, so pattern matching and visualisation never pay a full KB
-  materialisation.  The mirror is a *read* view — callers must not add or
-  remove vertices/edges on it (annotating vertex properties, e.g. topic
-  vectors, is fine).
+  arrives, and every whole-graph reader (path search, pagerank /
+  components / centrality, statistics, shard compute supersteps, pattern
+  matching, visualisation) reads that one object — nothing pays a full
+  KB materialisation after the first.
 """
 
 from __future__ import annotations
@@ -239,14 +240,22 @@ class KnowledgeBase:
     # graph view
     # ------------------------------------------------------------------
     def graph_view(self) -> PropertyGraph:
-        """The shared, incrementally-maintained property-graph mirror.
+        """The KB as a property graph — *the* read contract for every
+        whole-graph reader.
 
-        The first call materialises the full KB; afterwards every
-        :meth:`add_fact` / :meth:`remove_fact` / :meth:`add_entity` is
-        applied to the mirror in O(1), so repeated callers (pattern
-        queries, visualisation) never pay a rebuild.  Treat the result as
-        read-only structure: annotating vertex *properties* is fine,
-        adding or removing vertices/edges is not.
+        The first call materialises the full KB
+        (:meth:`to_property_graph`); afterwards every :meth:`add_fact` /
+        :meth:`remove_fact` / :meth:`add_entity` is applied to the same
+        object in O(1), in :class:`TripleStore` order, so it stays
+        order-exactly equal to a fresh materialisation while no fact is
+        removed (and set-equal when one is).
+
+        Structure is read-only: callers must not add or remove
+        vertices/edges, nor touch the ``type``/``name`` vertex props or
+        any edge prop.  ``topics`` is the one derived vertex prop —
+        :class:`~repro.core.pipeline.Nous` sets the QA topic vectors in
+        place before a path search.  Readers share the object, so they
+        must run under the lock writers hold (the service's engine lock).
         """
         if self._graph_view is None:
             self._graph_view = self.to_property_graph()
@@ -279,23 +288,16 @@ class KnowledgeBase:
             triple.subject, triple.object, triple.predicate, **edge_props
         )
 
-    def to_property_graph(
-        self,
-        min_confidence: float = 0.0,
-        include_extracted: bool = True,
-        num_partitions: int = 4,
-    ) -> PropertyGraph:
-        """Materialise the KB as a property graph.
+    def to_property_graph(self) -> PropertyGraph:
+        """Materialise the KB as a fresh property graph.
 
-        Vertex properties carry ``type`` and ``name``; edge properties
-        carry confidence/source/date/curated.
+        The first materialisation behind :meth:`graph_view`, and the
+        reference the tests compare the maintained mirror against; no
+        other code calls it.  Vertex properties carry ``type`` and
+        ``name``; edge properties carry confidence/source/date/curated.
         """
-        graph = PropertyGraph(num_partitions=num_partitions)
+        graph = PropertyGraph()
         for triple in self.store:
-            if triple.confidence < min_confidence:
-                continue
-            if not include_extracted and not triple.curated:
-                continue
             for endpoint in (triple.subject, triple.object):
                 if not graph.has_vertex(endpoint):
                     graph.add_vertex(

@@ -7,7 +7,7 @@ and existence checks used by link prediction and the miners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.nlp.dates import SimpleDate
@@ -38,10 +38,6 @@ class Triple:
     def key(self) -> Tuple[str, str, str]:
         """The (s, p, o) identity of this triple."""
         return (self.subject, self.predicate, self.object)
-
-    def with_confidence(self, confidence: float) -> "Triple":
-        """Copy with a new confidence value."""
-        return replace(self, confidence=confidence)
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"({self.subject}, {self.predicate}, {self.object})"

@@ -92,14 +92,6 @@ class TripleMapper:
         # documents; used by the semi-supervised pattern expansion.
         self.mention_index: Dict[str, str] = {}
 
-    def map_triple(
-        self, raw: RawTriple, context_words: Optional[Sequence[str]] = None
-    ) -> Tuple[Optional[MappedTriple], Optional[RejectedTriple]]:
-        """Map one raw triple; exactly one of the pair is non-None."""
-        results = self.map_document([raw], context_words=context_words)
-        mapped, rejected = results
-        return (mapped[0] if mapped else None, rejected[0] if rejected else None)
-
     def map_document(
         self,
         raw_triples: Sequence[RawTriple],

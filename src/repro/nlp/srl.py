@@ -165,10 +165,6 @@ class SrlExtractor:
         clause = " ".join(words).strip()
         return clause or None
 
-    def known_verbs(self) -> List[str]:
-        """Lemmas this extractor has frames for."""
-        return sorted(FRAMES)
-
 
 def frame_for(verb: str) -> Optional[Dict]:
     """Public lookup of the frame definition for a verb lemma."""

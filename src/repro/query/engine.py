@@ -238,15 +238,8 @@ class QueryEngine:
             result_count=len(paths),
         )
 
-    def _analytics_graph(self) -> Any:
-        """The merged KG as a property graph for whole-graph analytics
-        (the same materialisation the distributed coordinator unions
-        from shard partitions, so both sides rank identical graphs)."""
-        return self.nous.kb.to_property_graph()
-
     def _pagerank(self, query: PageRankQuery) -> QueryResult:
-        graph = self._analytics_graph()
-        ranks = pagerank(graph)
+        ranks = pagerank(self.nous.kb.graph_view())
         payload = pagerank_payload(
             {str(v): score for v, score in ranks.items()}, top=query.top
         )
@@ -259,8 +252,7 @@ class QueryEngine:
         )
 
     def _components(self, query: ComponentsQuery) -> QueryResult:
-        graph = self._analytics_graph()
-        labels = connected_components(graph)
+        labels = connected_components(self.nous.kb.graph_view())
         payload = components_payload(
             {str(v): str(label) for v, label in labels.items()}
         )
@@ -275,7 +267,7 @@ class QueryEngine:
     def _centrality(self, query: CentralityQuery) -> QueryResult:
         if query.metric != "degree":
             raise QueryError(f"unsupported centrality metric {query.metric!r}")
-        graph = self._analytics_graph()
+        graph = self.nous.kb.graph_view()
         degrees = {str(v): float(graph.degree(v)) for v in graph.vertices()}
         payload = centrality_payload(degrees, metric=query.metric, top=query.top)
         return QueryResult(
@@ -288,9 +280,9 @@ class QueryEngine:
 
     def _pattern(self, query: PatternQuery) -> QueryResult:
         pattern = parse_pattern(query.pattern_text)
-        # Shared incremental graph view: no per-query KB materialisation.
-        graph = self.nous.dynamic.graph_view()
-        matcher = PatternMatcher(graph, ontology=self.nous.kb.ontology)
+        matcher = PatternMatcher(
+            self.nous.kb.graph_view(), ontology=self.nous.kb.ontology
+        )
         matches = matcher.match(pattern, limit=50)
         return QueryResult(
             query=query,
@@ -461,10 +453,9 @@ def render_centrality(payload: Mapping[str, Any]) -> str:
 #   collapse, confidence ties keep the highest-confidence copy);
 # - relationship / explanatory: top-k re-rank — paths found by any shard,
 #   deduplicated by node sequence, re-ranked by coherence;
-# - trending: per-shard window merge — the *full* support tables are
-#   summed per pattern, then frequency and closedness are recomputed on
-#   the merged counts (a pattern below threshold on every shard can be
-#   frequent in the union);
+# - trending: frequency and closedness are recomputed on the exact
+#   union support table the distributed miner assembles (a pattern below
+#   threshold on every shard can be frequent in the union);
 # - statistics: summation, with the replicated curated base counted once.
 
 
@@ -563,45 +554,6 @@ def merge_pattern_matches(
             key = tuple(sorted((str(k), str(v)) for k, v in bindings.items()))
             merged.setdefault(key, bindings)
     return list(merged.values())[:limit]
-
-
-def merge_window_reports(
-    supports_per_shard: Sequence[Mapping[Pattern, int]],
-    min_support: int,
-    previous_frequent: Set[Pattern],
-    window_edges: int,
-    timestamp: float,
-) -> Tuple[WindowReport, Set[Pattern]]:
-    """Assemble a merged trending report from per-shard support tables.
-
-    Supports are summed per pattern across shards, then frequency and
-    closedness are recomputed on the merged table — which is why the
-    shards expose their *full* support tables, not just the closed
-    frequent slice.
-
-    Summed MNI support is exact when every embedding (and node binding)
-    of a pattern lives on one shard, and a lower bound otherwise
-    (embeddings spanning shards are invisible to it) — which is why the
-    sharded cluster's trending path feeds
-    :func:`assemble_window_report` with the exact union supports from
-    :class:`repro.compute.mining.DistributedMiner` instead of calling
-    this merge; see docs/SHARDING.md.
-
-    Returns:
-        ``(report, frequent_now)`` — callers store ``frequent_now`` as
-        the next call's ``previous_frequent``.
-    """
-    merged: Dict[Pattern, int] = {}
-    for supports in supports_per_shard:
-        for pattern, support in supports.items():
-            merged[pattern] = merged.get(pattern, 0) + support
-    return assemble_window_report(
-        merged,
-        min_support=min_support,
-        previous_frequent=previous_frequent,
-        window_edges=window_edges,
-        timestamp=timestamp,
-    )
 
 
 def assemble_window_report(

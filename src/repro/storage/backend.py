@@ -61,10 +61,6 @@ class StorageBackend(Protocol):
         truncating) the first torn/corrupt line."""
         ...
 
-    def reset_wal(self) -> None:
-        """Truncate the WAL (called right after a snapshot covers it)."""
-        ...
-
     def close(self) -> None:
         """Release file handles (idempotent)."""
         ...

@@ -156,11 +156,6 @@ class JsonLinesBackend:
         self._next_seq = len(records)
         return records
 
-    def reset_wal(self) -> None:
-        self._close_wal()
-        self._truncate_wal(0)
-        self._next_seq = 0
-
     def close(self) -> None:
         self._close_wal()
 

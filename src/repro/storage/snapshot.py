@@ -332,8 +332,7 @@ def restore_nous(nous: Nous, state: Dict[str, Any]) -> None:
         (raw_triple_from_wire(r) for r in state["nous"]["raw_buffer"]),
         maxlen=nous._raw_buffer.maxlen,
     )
-    nous._topic_graph = None
-    nous._topic_graph_version = -1
+    nous._topics_version = -1
 
     _force_counters(
         nous,
@@ -380,17 +379,17 @@ class IngestRecorder:
     """Captures the effects of one accepted ingest call as a WAL record.
 
     Used through :func:`record_ingest`; while active it observes the
-    engine's accept path (which facts reach the dynamic KG, and with
-    what call structure — batch vs sequential matters because the batch
-    path skips window-doomed facts) and diffs the grow-only engine
-    tables around the call.  :attr:`record` is available after the
-    context exits cleanly.
+    engine's accept path (which facts reach the dynamic KG, in which
+    batches — the batch structure matters because a batch skips its
+    window-doomed facts) and diffs the grow-only engine tables around
+    the call.  :attr:`record` is available after the context exits
+    cleanly.
     """
 
     def __init__(self, nous: Nous) -> None:
         self.nous = nous
         self.record: Optional[Dict[str, Any]] = None
-        # ("batch", [(mapped, conf, ts), ...]) or ("fact", (mapped, conf, ts))
+        # ("batch", [(mapped, conf, ts), ...]) or ("retrain", None)
         self._events: List[Tuple[str, Any]] = []
         self._raws_extracted = 0
         kb = nous.kb
@@ -407,9 +406,6 @@ class IngestRecorder:
     # -- observation hooks (installed by record_ingest) -----------------
     def _on_accept_batch(self, facts) -> None:
         self._events.append(("batch", list(facts)))
-
-    def _on_accept_fact(self, mapped, confidence, timestamp) -> None:
-        self._events.append(("fact", (mapped, confidence, timestamp)))
 
     def _on_extract(self, n_triples: int) -> None:
         self._raws_extracted += n_triples
@@ -483,12 +479,7 @@ class IngestRecorder:
                 if kind == "retrain"
                 else {
                     "kind": kind,
-                    "facts": [
-                        _fact_to_wire(m, c, t)
-                        for m, c, t in (
-                            payload if kind == "batch" else [payload]
-                        )
-                    ],
+                    "facts": [_fact_to_wire(m, c, t) for m, c, t in payload],
                 }
                 for kind, payload in self._events
             ],
@@ -542,11 +533,8 @@ def record_ingest(nous: Nous) -> Iterator[IngestRecorder]:
     """
     recorder = IngestRecorder(nous)
     dynamic = nous.dynamic
-    nlp = nous.nlp
     estimator = nous.estimator
     orig_batch = dynamic.accept_batch
-    orig_fact = dynamic.accept_fact
-    orig_process = nlp.process
     orig_extract_batch = nous._extract_batch
     orig_retrain = estimator.retrain
 
@@ -554,26 +542,8 @@ def record_ingest(nous: Nous) -> Iterator[IngestRecorder]:
         recorder._on_accept_batch(facts)
         return orig_batch(facts)
 
-    def accept_fact(mapped, confidence, timestamp):
-        recorder._on_accept_fact(mapped, confidence, timestamp)
-        return orig_fact(mapped, confidence, timestamp)
-
-    def process(*args, **kwargs):
-        # The streaming (one-document) path: count as it extracts.
-        document = orig_process(*args, **kwargs)
-        recorder._on_extract(len(document.triples))
-        return document
-
     def extract_batch(articles):
-        # The batch path goes through Nous._extract_batch — serially it
-        # calls the patched nlp.process per document (counted above), so
-        # only the pooled branch must be counted here.  Temporarily
-        # restoring the original keeps the count single-sourced.
-        nlp.process = orig_process  # type: ignore[method-assign]
-        try:
-            extracted = orig_extract_batch(articles)
-        finally:
-            nlp.process = process  # type: ignore[method-assign]
+        extracted = orig_extract_batch(articles)
         for triples, _context in extracted:
             recorder._on_extract(len(triples))
         return extracted
@@ -586,8 +556,6 @@ def record_ingest(nous: Nous) -> Iterator[IngestRecorder]:
         return orig_retrain(triples)
 
     dynamic.accept_batch = accept_batch  # type: ignore[method-assign]
-    dynamic.accept_fact = accept_fact  # type: ignore[method-assign]
-    nlp.process = process  # type: ignore[method-assign]
     nous._extract_batch = extract_batch  # type: ignore[method-assign]
     estimator.retrain = retrain  # type: ignore[method-assign]
     try:
@@ -595,8 +563,6 @@ def record_ingest(nous: Nous) -> Iterator[IngestRecorder]:
         recorder.finish()
     finally:
         del dynamic.accept_batch
-        del dynamic.accept_fact
-        del nlp.process
         del nous._extract_batch
         del estimator.retrain
 
@@ -651,12 +617,13 @@ def replay_record(nous: Nous, record: Dict[str, Any]) -> None:
     alias counts — so the accept path's endpoint auto-registration
     no-ops instead of corrupting alias priors — then mention-index
     growth, then the ordered event stream: accepted facts through the
-    *same* accept path (batch vs sequential structure preserved, so
-    window dooming replays identically) with retrains re-run at their
-    original positions (a mid-call retrain fits the KG as it stood at
-    that point).  Trust/stats land wholesale, the linker cache is
-    reinstated last (absolute on retrained records), and the counters
-    are forced.
+    *same* accept path (batch structure preserved, so window dooming
+    replays identically; the ``"fact"`` events of WALs written before
+    every accept became a batch replay as singleton batches) with
+    retrains re-run at their original positions (a mid-call retrain fits
+    the KG as it stood at that point).  Trust/stats land wholesale, the
+    linker cache is reinstated last (absolute on retrained records), and
+    the counters are forced.
     """
     kb = nous.kb
     for name, parent in record["types"]:
@@ -687,7 +654,7 @@ def replay_record(nous: Nous, record: Dict[str, Any]) -> None:
         facts = [_fact_from_wire(f) for f in event["facts"]]
         if event["kind"] == "batch":
             nous.dynamic.accept_batch(facts)
-        else:
+        else:  # "fact"
             for mapped, confidence, timestamp in facts:
                 nous.dynamic.accept_fact(mapped, confidence, timestamp)
 

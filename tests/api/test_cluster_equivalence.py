@@ -525,6 +525,38 @@ class TestSingleShardIsMonolith:
         assert mono.kg_version > 0
 
 
+class TestStatisticsRankTies:
+    """Equal PageRank scores must order the same way on both sides:
+    ``Zed`` and ``Abe`` (inserted in that order) tie exactly, and the
+    monolith used to list them in insertion order while the merge
+    tie-breaks by name."""
+
+    @staticmethod
+    def _kb():
+        kb = KnowledgeBase()
+        kb.add_fact("Zed", "linksTo", "Hub")
+        kb.add_fact("Abe", "linksTo", "Hub")
+        return kb
+
+    def test_central_entities_identical_on_ties(self):
+        mono = NousService(kb=self._kb(), service_config=_service_config())
+        one = ShardedNousService(
+            kb_factory=self._kb, num_shards=1,
+            service_config=_service_config(),
+        )
+        try:
+            a = mono.statistics()
+            b = one.statistics()
+        finally:
+            mono.close()
+            one.close()
+        central = a.payload["central_entities"]
+        assert [entity for entity, _rank in central] == ["Hub", "Abe", "Zed"]
+        assert central[1][1] == central[2][1]  # a genuine tie
+        assert b.payload["central_entities"] == central
+        assert a.rendered == b.rendered
+
+
 # ---------------------------------------------------------------------------
 # restart mid-stream: durability must not change a single merged answer
 # ---------------------------------------------------------------------------

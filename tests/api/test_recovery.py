@@ -267,6 +267,92 @@ class TestMonolithRecovery:
         assert state["wal_covered"] >= 2
 
 
+class TestParentFormatWal:
+    """A WAL written before every accept became a batch records the
+    facts of an ``ingest_facts`` call as one ``"fact"`` event each.
+    Such a log must keep recovering: the record below is what the
+    parent commit wrote for ``ingest_facts(FACTS, date="2015-07-01")``
+    on a fresh drone-KB engine with a two-edge window (so the third
+    fact evicts the first)."""
+
+    @staticmethod
+    def _fact_event(s, p, o):
+        return {
+            "kind": "fact",
+            "facts": [{
+                "s": s, "p": p, "o": o,
+                "confidence": 0.9, "source": "structured",
+                "date": {"year": 2015, "month": 7, "day": 1},
+                "timestamp": 749766.0,
+            }],
+        }
+
+    def _record(self):
+        return {
+            "events": [self._fact_event(*fact) for fact in FACTS],
+            "entities": [["Titan_Aerospace", "Thing", ""]],
+            "aliases": [["titan aerospace", "Titan_Aerospace", 1]],
+            "types": [],
+            "predicates": [],
+            "cache": [],
+            "mention_index": [],
+            "stats": {"mapped": 0, "rejected": [], "created_entities": 0},
+            "raws": [],
+            "trust": [
+                ["wsj", 8.0, 2.0], ["yago", 19.0, 1.0], ["curated", 19.0, 1.0],
+            ],
+            "retrained": False,
+            "counters": {
+                "kb_version": 131, "aliases_version": 129,
+                "ontology_version": 46, "total_added": 3, "total_evicted": 1,
+                "window_last_timestamp": 749766.0, "facts_streamed": 3,
+                "updates_processed": 4, "embeddings_touched": 4,
+                "documents_ingested": 0, "accepted_since_retrain": 0,
+                "last_timestamp": 749766.0,
+            },
+        }
+
+    def test_fact_events_replay_to_the_exact_stamp(self):
+        from repro import Nous
+        from repro.nlp.dates import parse_date
+        from repro.storage.snapshot import record_ingest, replay_record
+
+        def engine():
+            config = NousConfig(
+                window_size=2, min_support=2, retrain_every=0, seed=3
+            )
+            return Nous(kb=build_drone_kb(), config=config)
+
+        def state(nous):
+            return (
+                nous.dynamic.version,
+                list(nous.kb.store),
+                list(nous.dynamic.window.window_edges()),
+                nous.dynamic.window.total_added,
+                nous.dynamic.window.total_evicted,
+                list(nous.dynamic.miner.support_state()),
+                nous.kb.entity_type("Titan_Aerospace"),
+            )
+
+        live = engine()
+        with record_ingest(live) as recorder:
+            live.ingest_facts(FACTS, date=parse_date("2015-07-01"))
+        assert live.dynamic.version == 310
+
+        from_parent_wal = engine()
+        replay_record(from_parent_wal, self._record())
+        assert state(from_parent_wal) == state(live)
+
+        # What this commit writes for the same call: singleton batches.
+        assert [
+            (event["kind"], len(event["facts"]))
+            for event in recorder.record["events"]
+        ] == [("batch", 1)] * len(FACTS)
+        from_own_wal = engine()
+        replay_record(from_own_wal, json.loads(json.dumps(recorder.record)))
+        assert state(from_own_wal) == state(live)
+
+
 class TestSubscriptionReplay:
     def test_replay_rows_match_fresh_evaluation(self, tmp_path):
         data_dir = str(tmp_path / "subs")

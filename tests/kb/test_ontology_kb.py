@@ -128,16 +128,6 @@ class TestKnowledgeBase:
         assert edges[0].label == "headquarteredIn"
         assert edges[0].props["curated"]
 
-    def test_graph_confidence_filter(self, kb):
-        kb.add_fact("DJI", "uses", "Karma_Drone", confidence=0.2, curated=False)
-        graph = kb.to_property_graph(min_confidence=0.5)
-        assert graph.edges_between("DJI", "Karma_Drone") == []
-
-    def test_graph_exclude_extracted(self, kb):
-        kb.add_fact("DJI", "uses", "Karma_Drone", confidence=0.9, curated=False)
-        graph = kb.to_property_graph(include_extracted=False)
-        assert graph.edges_between("DJI", "Karma_Drone") == []
-
     def test_gazetteer_labels(self, kb):
         gazetteer = kb.gazetteer()
         assert gazetteer["dji"] == "ORG"
