@@ -69,7 +69,7 @@ def _build_service() -> NousService:
         config=NousConfig(window_size=300, seed=SEED),
         # Cache off: both measurement paths recompute every query, so
         # the ratio isolates transport + framing overhead.
-        service_config=ServiceConfig(enable_cache=False, max_delay=0.01),
+        service_config=ServiceConfig(enable_cache=False),
     )
     service.submit_many(articles)
     service.flush()

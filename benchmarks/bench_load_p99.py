@@ -81,7 +81,6 @@ def _build_service() -> NousService:
     service = NousService(
         kb=kb,
         config=NousConfig(window_size=300, seed=SEED),
-        service_config=ServiceConfig(max_delay=0.01),
     )
     service.submit_many(articles)
     service.flush()

@@ -91,7 +91,7 @@ def _timed_cluster(shard_mode):
         num_shards=N_SHARDS,
         config=NousConfig(**CONFIG),
         service_config=ServiceConfig(
-            auto_start=True, max_batch=N_ARTICLES, max_delay=0.01
+            auto_start=True, max_batch=N_ARTICLES
         ),
         shard_mode=shard_mode,
         kb_spec=KB_SPEC,

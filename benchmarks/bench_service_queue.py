@@ -47,7 +47,7 @@ CONFIG = dict(
 )
 # 80 splits the 120-doc corpus into two genuine micro-batches while the
 # deferred busy-period retrain keeps the overhead comfortably in-gate.
-SERVICE_CONFIG = ServiceConfig(max_batch=80, max_delay=0.01)
+SERVICE_CONFIG = ServiceConfig(max_batch=80)
 
 
 def _fresh_corpus():
@@ -155,12 +155,12 @@ def test_queue_within_gate_of_direct_batch_and_faster_than_seed():
     )
 
 
-def test_single_document_latency_bounded_by_max_delay():
+def test_single_document_latency_on_idle_service():
     kb, articles = _fresh_corpus()
     service = NousService(
         kb=kb,
         config=NousConfig(**CONFIG),
-        service_config=ServiceConfig(max_batch=64, max_delay=0.02),
+        service_config=ServiceConfig(max_batch=64),
     )
     try:
         t0 = time.perf_counter()
@@ -173,7 +173,7 @@ def test_single_document_latency_bounded_by_max_delay():
     record_bench(
         "service_queue_latency", single_doc_latency_s=round(latency, 4)
     )
-    # Generous bound: batching delay + one tiny drain; catches
-    # regressions where a lone document waits for a batch that never
-    # fills (or a forgotten flush path).
+    # Generous bound: one tiny drain; catches regressions where a lone
+    # document waits for a batch that never fills (or a forgotten flush
+    # path).
     assert latency < 5.0

@@ -88,7 +88,7 @@ def _timed_sharded():
         num_shards=N_SHARDS,
         config=NousConfig(**CONFIG),
         service_config=ServiceConfig(
-            auto_start=True, max_batch=N_ARTICLES, max_delay=0.01
+            auto_start=True, max_batch=N_ARTICLES
         ),
     )
     t0 = time.perf_counter()

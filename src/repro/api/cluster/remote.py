@@ -44,6 +44,7 @@ from repro.api.envelopes import (
     exception_from_error,
 )
 from repro.api.http.client import ClientSession, SubscriptionStream
+from repro.api.http.server import GatewayConfig
 from repro.api.service import (
     IngestTicket,
     StandingQueryUpdate,
@@ -51,7 +52,7 @@ from repro.api.service import (
 )
 from repro.api.wire import decode_payload, key_of_row, pattern_from_wire
 from repro.core.statistics import GraphStatistics
-from repro.errors import ClusterError, ReproError
+from repro.errors import ClusterError, ConfigError, ReproError
 from repro.mining.patterns import Pattern
 from repro.query.engine import QueryResult
 from repro.query.model import Query
@@ -66,9 +67,10 @@ SHARD_STREAM_HEARTBEAT = 2.0
 class RemoteIngestTicket(IngestTicket):
     """A ticket whose fulfilment lives in the worker's registry.
 
-    ``done()``/``result()`` poll ``GET /v1/ingest/<id>``: the worker
-    answers the ``ticket`` envelope while the document is queued and
-    the fulfilled ``ingest`` envelope once its micro-batch drained.
+    ``done()`` is one ``GET /v1/ingest/<id>``: the worker answers the
+    ``ticket`` envelope while the document is queued and the fulfilled
+    ``ingest`` envelope once its micro-batch drained.  ``result()`` tries
+    that once, then blocks on ``?wait=1`` until the drainer fulfils it.
     """
 
     def __init__(
@@ -77,32 +79,42 @@ class RemoteIngestTicket(IngestTicket):
         super().__init__(doc_id)
         self.ticket_id = ticket_id
         self._client = client
-        self._fulfilled: Optional[ApiResponse] = None
 
-    def _poll_once(self) -> Optional[ApiResponse]:
-        if self._fulfilled is not None:
-            return self._fulfilled
-        envelope = self._client._ticket_envelope(self.ticket_id)
-        if envelope.kind != "ticket":
-            self._fulfilled = envelope
-            return envelope
-        return None
+    def _poll(self, wait: Optional[float] = 0.0) -> Optional[ApiResponse]:
+        if self._response is None:
+            self._response = self._client._ticket_envelope(
+                self.ticket_id, wait
+            )
+        return self._response
 
     def done(self) -> bool:
-        return self._poll_once() is not None
+        return self._poll() is not None
 
     def result(self, timeout: Optional[float] = None) -> ApiResponse:
+        envelope = self._poll()
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            envelope = self._poll_once()
-            if envelope is not None:
-                return envelope
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ReproError(
-                    f"ingest ticket for {self.doc_id!r} not fulfilled "
-                    f"within {timeout}s"
-                )
-            time.sleep(0.02)
+        while envelope is None:
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ReproError(
+                        f"ingest ticket for {self.doc_id!r} not fulfilled "
+                        f"within {timeout}s"
+                    )
+            try:
+                envelope = self._poll(wait=remaining)
+            except ClusterError:
+                # The wait's socket timeout is the caller's remaining
+                # budget: a live worker "not answering" exactly then is
+                # this call's own deadline (raised at the loop top).
+                if (
+                    deadline is None
+                    or time.monotonic() < deadline
+                    or not self._client.alive
+                ):
+                    raise
+        return envelope
 
 
 class RemoteSubscription:
@@ -242,6 +254,13 @@ class RemoteShardClient:
     """
 
     def __init__(self, worker: ShardProcess, timeout: float = 120.0) -> None:
+        if timeout <= GatewayConfig.wait_timeout:
+            # The worker answers a held ticket wait by its wait_timeout
+            # (504); a shorter socket timeout would call it dead first.
+            raise ConfigError(
+                f"shard client timeout ({timeout}s) must exceed the "
+                f"worker's wait_timeout ({GatewayConfig.wait_timeout}s)"
+            )
         self.worker = worker
         self.url = worker.url
         self._timeout = timeout
@@ -259,9 +278,10 @@ class RemoteShardClient:
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
+        session: Optional[ClientSession] = None,
     ) -> Tuple[int, Dict[str, Any]]:
         try:
-            return self._session.request(method, path, payload)
+            return (session or self._session).request(method, path, payload)
         except ReproError:
             raise
         except Exception as exc:  # noqa: BLE001 - transport boundary
@@ -425,9 +445,29 @@ class RemoteShardClient:
         )
         self._checked(_status, data)
 
-    def _ticket_envelope(self, ticket_id: int) -> ApiResponse:
-        _status, data = self._call("GET", f"/v1/ingest/{ticket_id}")
-        return ApiResponse.from_dict(self._checked(_status, data))
+    def _ticket_envelope(
+        self, ticket_id: int, wait: Optional[float] = 0.0
+    ) -> Optional[ApiResponse]:
+        """The ticket's fulfilled envelope, or ``None`` while queued.
+
+        ``wait=0`` is one plain poll.  Otherwise block on ``?wait=1`` for
+        up to ``wait`` seconds (``None``: the client timeout) on a
+        connection of its own — the shared session is one socket, which a
+        held wait must not occupy.  The worker's 504 means "still queued".
+        """
+        path = f"/v1/ingest/{ticket_id}"
+        if wait == 0:
+            status, data = self._call("GET", path)
+        else:
+            timeout = min(self._timeout, wait or self._timeout)
+            with ClientSession(self.url, timeout=timeout) as session:
+                status, data = self._call(
+                    "GET", path + "?wait=1", session=session
+                )
+        if status == 504:
+            return None
+        envelope = ApiResponse.from_dict(self._checked(status, data))
+        return None if envelope.kind == "ticket" else envelope
 
     # ------------------------------------------------------------------
     # querying

@@ -535,6 +535,13 @@ class SubscriptionStream:
         """Disconnect (idempotent)."""
         if not self._closed:
             self._closed = True
+            if self._conn.sock is not None:
+                try:
+                    # Wake a reader blocked in another thread: close()
+                    # alone queues behind its read (the next heartbeat).
+                    self._conn.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
             self._conn.close()
 
     def __enter__(self) -> "SubscriptionStream":

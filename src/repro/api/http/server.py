@@ -14,8 +14,8 @@ header (precedence documented in ``docs/TENANCY.md``).
   blocks until the micro-batch drains and returns the ``ingest``
   envelope instead.
 - ``GET /v1/ingest/<ticket_id>`` — poll a ticket: 202 while pending,
-  the fulfilled ``ingest`` envelope once drained.  Tickets are
-  tenant-scoped: tenant *a* cannot poll tenant *b*'s ticket.
+  the fulfilled ``ingest`` envelope once drained (``?wait=1`` blocks
+  until then).  Tenant *a* cannot poll tenant *b*'s ticket.
 - ``POST /v1/query`` — body is a ``QueryRequest`` wire dict; returns
   the ``ApiResponse`` wire dict with the error taxonomy mapped to HTTP
   statuses via :func:`~repro.api.http.protocol.status_for_error`.
@@ -40,9 +40,9 @@ Concurrency: requests are served by one thread per connection
 funnels through ``NousService``'s engine lock, so N concurrent clients
 serialise without deadlocking the micro-batch drainer.  Subscribe
 streams never run on the drainer thread — the per-connection handler
-polls its subscription's delta queue (woken promptly by a callback), so
-a slow or dead client can never stall ingestion; a dead client is
-detached at its next frame or heartbeat write.
+sleeps on an event its subscription's callback sets, so a slow or dead
+client can never stall ingestion; a dead client is detached at its next
+frame or heartbeat write.
 """
 
 from __future__ import annotations
@@ -89,10 +89,9 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 #: ``/v1/t/<tenant>/...`` path segment takes precedence over it.
 TENANT_HEADER = "X-Nous-Tenant"
 
-#: Upper bound (seconds) on delta-delivery latency for subscribe
-#: streams: how long the stream loop waits for the subscription's wake
-#: callback before polling anyway (the callback usually beats it).
-SUBSCRIBE_POLL_INTERVAL = 0.05
+#: Tickets kept for ``GET /v1/ingest/<id>`` polling; oldest are dropped
+#: beyond this, and ``/v1/shard/submit`` refuses larger batches.
+MAX_TICKETS = 1024
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,8 @@ class GatewayConfig:
         heartbeat_interval: Seconds between keepalive frames on an idle
             subscribe stream (also how quickly a dead subscriber is
             detached when no deltas flow).
-        wait_timeout: Deadline for ``?wait=1`` ingests; exceeded waits
-            return 504 (the document stays queued).
-        max_tickets: Tickets kept for ``GET /v1/ingest/<id>`` polling;
-            oldest are dropped beyond this.
+        wait_timeout: Deadline for ``?wait=1`` (ingests and ticket
+            polls); exceeded waits return 504, the document stays queued.
         idle_timeout: Socket timeout on keep-alive connections — a
             client that vanishes without FIN/RST releases its handler
             thread after this long instead of pinning it forever.  Must
@@ -140,7 +137,6 @@ class GatewayConfig:
     max_body_bytes: int = 1 << 20
     heartbeat_interval: float = 10.0
     wait_timeout: float = 60.0
-    max_tickets: int = 1024
     idle_timeout: float = 120.0
     log_requests: bool = False
     gzip_min_bytes: int = GZIP_MIN_BYTES
@@ -156,8 +152,6 @@ class GatewayConfig:
             raise ConfigError("shared_cache_entries must be >= 1")
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be > 0")
-        if self.max_tickets < 1:
-            raise ConfigError("max_tickets must be >= 1")
         if self.idle_timeout <= 0:
             raise ConfigError("idle_timeout must be > 0")
         if self.heartbeat_interval >= self.idle_timeout:
@@ -370,6 +364,8 @@ class NousGateway:
             OrderedDict()
         )
         self._next_ticket_id = 1
+        # Wake events of the live subscribe streams, for close() to set.
+        self._stream_wakes: Set[threading.Event] = set()
         self._httpd = _GatewayHTTPServer(
             (self.config.host, self.config.port), _GatewayHandler
         )
@@ -419,6 +415,9 @@ class NousGateway:
         closed — nothing else references them.
         """
         self.closing.set()
+        with self._ticket_lock:
+            for wake in self._stream_wakes:
+                wake.set()
         if self._thread is not None:
             # shutdown() handshakes with serve_forever(); calling it
             # with no serve loop running would block forever.
@@ -451,8 +450,8 @@ class NousGateway:
             # HTTP poll (and can raise for a dead worker), which must
             # never run under the registry lock.  A single batch can no
             # longer invalidate itself — /v1/shard/submit refuses
-            # batches larger than max_tickets up front.
-            while len(self._tickets) > self.config.max_tickets:
+            # batches larger than MAX_TICKETS up front.
+            while len(self._tickets) > MAX_TICKETS:
                 self._tickets.popitem(last=False)
             return ticket_id
 
@@ -878,23 +877,27 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             # ticket is always eventually fulfilled.
             service.flush()
         if _first(params, "wait") in _TRUTHY:
-            try:
-                envelope = ticket.result(
-                    timeout=self.gateway.config.wait_timeout
-                )
-            except ReproError:
-                self._send_gateway_error(
-                    "http.timeout",
-                    f"ingest of {request.doc_id!r} not drained within "
-                    f"{self.gateway.config.wait_timeout}s (still queued)",
-                )
-                return
-            self._send_envelope(envelope)
+            self._send_awaited(ticket)
             return
         ticket_id = self.gateway._register_ticket(ticket, self._tenant)
         self._send_envelope(
             self.gateway._ticket_envelope(ticket_id, ticket, self._tenant)
         )
+
+    def _send_awaited(self, ticket: IngestTicket) -> None:
+        """``?wait=1``: answer the ticket's envelope once its batch has
+        drained, or 504 when ``wait_timeout`` passes first."""
+        wait_timeout = self.gateway.config.wait_timeout
+        try:
+            envelope = ticket.result(timeout=wait_timeout)
+        except ReproError:
+            self._send_gateway_error(
+                "http.timeout",
+                f"ingest of {ticket.doc_id!r} not drained within "
+                f"{wait_timeout}s (still queued)",
+            )
+            return
+        self._send_envelope(envelope)
 
     def _route_ticket_poll(
         self, captures: Dict[str, str], params: Dict[str, List[str]]
@@ -913,8 +916,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 "http.not_found", f"unknown ticket {ticket_id}"
             )
             return
-        if ticket.done():
-            self._send_envelope(ticket.result(timeout=0))
+        if _first(params, "wait") in _TRUTHY or ticket.done():
+            self._send_awaited(ticket)
         else:
             self._send_envelope(
                 self.gateway._ticket_envelope(ticket_id, ticket, self._tenant)
@@ -1047,16 +1050,14 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 "every document must be an IngestRequest wire dict",
             )
             return
-        if len(requests) > self.gateway.config.max_tickets:
+        if len(requests) > MAX_TICKETS:
             # More tickets than the registry can hold would silently
             # invalidate the batch's own earliest tickets; refuse
-            # loudly so the caller splits the batch (or serves with a
-            # larger max_tickets).
+            # loudly so the caller splits the batch.
             self._send_gateway_error(
                 "http.payload_too_large",
                 f"batch of {len(requests)} documents exceeds the ticket "
-                f"registry capacity of {self.gateway.config.max_tickets}; "
-                "split the batch or raise GatewayConfig.max_tickets",
+                f"registry capacity of {MAX_TICKETS}; split the batch",
             )
             return
         service = self.service
@@ -1253,6 +1254,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - envelope boundary
             self._send_envelope(ApiResponse.failure(exc))
             return
+        with self.gateway._ticket_lock:
+            self.gateway._stream_wakes.add(wake)
         try:
             self._stream_subscription(
                 subscription, wake, heartbeat, max_seconds, max_updates,
@@ -1261,8 +1264,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         finally:
             # Whatever ended the stream — client disconnect, limits,
             # shutdown — the subscription is detached so the drainer
-            # never evaluates for a dead consumer.
+            # never evaluates for a dead consumer (idempotent after bye).
             service.unsubscribe(subscription)
+            with self.gateway._ticket_lock:
+                self.gateway._stream_wakes.discard(wake)
             self.close_connection = True
 
     def _stream_subscription(
@@ -1309,18 +1314,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         # documented per-stream monotonicity is enforced here, by
         # construction, with a floor clamp.
         stamp_floor = service.kg_version
-        if not self._send_chunk(
-            encode_frame(
-                hello_frame(subscription, stamp_floor, snapshot=snapshot)
-            )
-        ):
-            return
         # Throttled streams coalesce: instead of forwarding every
         # update, remember the row map as of the last *sent* frame and,
         # once per `throttle` window, emit the net added/removed diff
         # against the subscription's current rows.  An add that was
         # undone within the window nets to nothing and never hits the
-        # wire.
+        # wire.  The baseline is read *before* hello goes out: a row
+        # written right after hello must not slip into the baseline.
         coalesce = throttle > 0 and row_kind is not None
         sent_rows: Dict[str, Dict[str, Any]] = {}
         if coalesce:
@@ -1329,6 +1329,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 key_of_row(kind, row): dict(row)
                 for row in subscription.current_rows
             }
+        if not self._send_chunk(
+            encode_frame(
+                hello_frame(subscription, stamp_floor, snapshot=snapshot)
+            )
+        ):
+            return
         dirty = False
         pending_stamp = stamp_floor
         last_update_sent = started
@@ -1381,12 +1387,20 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             if deadline is not None and now >= deadline:
                 reason = "max_seconds"
                 break
-            timeout = SUBSCRIBE_POLL_INTERVAL
+            # Sleep until the subscription's callback (or close()) sets
+            # `wake`; the only timed wake-ups are what this loop itself
+            # owes: heartbeat, max_seconds, an open throttle window.
+            due = last_sent + heartbeat
             if deadline is not None:
-                timeout = min(timeout, max(deadline - now, 0.0))
-            wake.wait(timeout=timeout)
-            wake.clear()
-            updates = subscription.poll()
+                due = min(due, deadline)
+            if dirty:
+                due = min(due, last_update_sent + throttle)
+            updates: List[StandingQueryUpdate] = []
+            if wake.wait(timeout=max(due - now, 0.0)):
+                wake.clear()
+                updates = subscription.poll()
+            now = time.monotonic()
+            limit_hit = False
             if coalesce:
                 if updates:
                     dirty = True
@@ -1394,53 +1408,41 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                         pending_stamp,
                         max(update.kg_version for update in updates),
                     )
-                now = time.monotonic()
                 if dirty and now - last_update_sent >= throttle:
                     alive, limit_hit = flush_coalesced(now)
                     if not alive:
                         return  # client went away mid-stream: detach
-                    if limit_hit:
-                        reason = "max_updates"
-                        break
-                if now - last_sent >= heartbeat:
-                    stamp_floor = max(stamp_floor, service.kg_version)
-                    frame = heartbeat_frame(
-                        stamp_floor, service.pending_count
-                    )
-                    if not self._send_chunk(encode_frame(frame)):
-                        return  # dead client detected by the keepalive
-                    last_sent = now
-                continue
-            for update in updates:
-                frame = update_frame(update)
-                stamp_floor = max(stamp_floor, update.kg_version)
-                frame["kg_version"] = stamp_floor
-                if not self._send_chunk(encode_frame(frame)):
-                    return  # client went away mid-stream: detach
-                sent_updates += 1
-                if max_updates and sent_updates >= max_updates:
-                    reason = "max_updates"
-                    break
             else:
-                now = time.monotonic()
-                if updates:
-                    last_sent = now
-                elif now - last_sent >= heartbeat:
-                    stamp_floor = max(stamp_floor, service.kg_version)
-                    frame = heartbeat_frame(
-                        stamp_floor, service.pending_count
-                    )
+                for update in updates:
+                    frame = update_frame(update)
+                    stamp_floor = max(stamp_floor, update.kg_version)
+                    frame["kg_version"] = stamp_floor
                     if not self._send_chunk(encode_frame(frame)):
-                        return  # dead client detected by the keepalive
-                    last_sent = now
-                continue
-            break  # inner break (max_updates) falls through here
+                        return  # client went away mid-stream: detach
+                    sent_updates += 1
+                    if max_updates and sent_updates >= max_updates:
+                        limit_hit = True
+                        break
+                if updates:
+                    now = last_sent = time.monotonic()
+            if limit_hit:
+                reason = "max_updates"
+                break
+            if now - last_sent >= heartbeat:
+                stamp_floor = max(stamp_floor, service.kg_version)
+                frame = heartbeat_frame(stamp_floor, service.pending_count)
+                if not self._send_chunk(encode_frame(frame)):
+                    return  # dead client detected by the keepalive
+                last_sent = now
         if coalesce and dirty and reason != "max_updates":
             # The stream is ending inside a throttle window: deliver the
             # tail as one last net diff rather than dropping it.
             alive, _limit = flush_coalesced(time.monotonic())
             if not alive:
                 return
+        # Detach before the bye frame: a client that has read `bye` must
+        # find its subscription (and its tenant quota slot) released.
+        service.unsubscribe(subscription)
         self._send_chunk(encode_frame(bye_frame(reason)))
         try:
             if self._stream_compressor is not None:

@@ -8,10 +8,11 @@ Three responsibilities on top of the raw :class:`~repro.core.pipeline.Nous`
   mapped onto the structured error taxonomy instead of escaping.
 - **Async ingestion queue** — :meth:`NousService.submit` enqueues one
   document and returns an :class:`IngestTicket` immediately.  A drainer
-  micro-batches pending documents into ``Nous.ingest_batch`` under a
-  ``max_batch`` / ``max_delay`` backpressure policy, so single-document
-  callers transparently ride the ~3x amortised batch hot path whenever
-  there is concurrent traffic.
+  group-commits them into ``Nous.ingest_batch``: it takes up to
+  ``max_batch`` the moment the queue is non-empty, and whatever arrives
+  *while that batch runs* is the next micro-batch — an idle service
+  starts on a lone document at once, concurrent single-document callers
+  still ride the ~3x amortised batch hot path.
 - **Standing queries** — :meth:`NousService.subscribe` registers a
   continuous query.  After every drain (or explicit refresh) each
   subscription is re-evaluated iff the KG version stamp moved, and the
@@ -26,11 +27,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    ContextManager,
     Deque,
     Dict,
     Iterator,
@@ -59,6 +61,7 @@ from repro.query.engine import QueryEngine, QueryResult
 from repro.query.model import Query, TrendingQuery
 from repro.query.parser import parse_query
 from repro.storage import (
+    IngestRecorder,
     JsonLinesBackend,
     record_ingest,
     replay_record,
@@ -72,11 +75,8 @@ class ServiceConfig:
     """Queue and cache policy for :class:`NousService`.
 
     Attributes:
-        max_batch: Upper bound on documents per drain (backpressure: a
-            full batch drains immediately).
-        max_delay: Seconds the drainer waits for a batch to fill before
-            draining a partial one; the latency bound for single
-            uncontended submissions.
+        max_batch: Upper bound on documents per drain.  No fill delay:
+            the drainer takes what is pending as soon as it is free.
         auto_start: Start the background drainer thread.  When False the
             queue only drains on explicit :meth:`NousService.flush` —
             deterministic single-threaded mode for tests and drivers.
@@ -87,7 +87,6 @@ class ServiceConfig:
     """
 
     max_batch: int = 32
-    max_delay: float = 0.05
     auto_start: bool = True
     cache_size: int = 256
     enable_cache: bool = True
@@ -96,8 +95,6 @@ class ServiceConfig:
     def validate(self) -> None:
         if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if self.max_delay < 0.0:
-            raise ConfigError("max_delay must be >= 0")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
 
@@ -316,9 +313,7 @@ class NousService:
         self._queue_changed = threading.Condition(self._queue_lock)
         self._idle = threading.Condition(self._queue_lock)
         self._pending: Deque[Tuple[IngestRequest, IngestTicket]] = deque()
-        self._first_pending_at = 0.0
         self._draining = False
-        self._flush_requested = False
         self._closed = False
         self._subscriptions: Dict[int, Subscription] = {}
         self._next_subscription_id = 1
@@ -454,6 +449,15 @@ class NousService:
         self._storage.append_wal(record)
         self._wal_records += 1
 
+    def _recorded_ingest(self) -> ContextManager[Optional[IngestRecorder]]:
+        """Capture the block's one ingest call for the WAL: enters to
+        the recorder, or to nothing (recording nothing) without a
+        ``data_dir``.  Appending is the caller's step — each ingest
+        path has its own rule for when the record is due."""
+        if self._storage is None:
+            return nullcontext()
+        return record_ingest(self.nous)
+
     @contextmanager
     def _durable_engine_lock(self) -> Iterator[None]:
         """The engine lock, plus WAL capture for *query-path* mutations.
@@ -519,18 +523,7 @@ class NousService:
             ConfigError: when the request carries a date string that
                 does not parse.
         """
-        if not isinstance(request, IngestRequest):
-            request = IngestRequest.from_article(request)
-        self._validated_date(request)
-        ticket = IngestTicket(request.doc_id)
-        with self._queue_lock:
-            if self._closed:
-                raise ReproError("service is closed")
-            if not self._pending:
-                self._first_pending_at = time.monotonic()
-            self._pending.append((request, ticket))
-            self._queue_changed.notify_all()
-        return ticket
+        return self.submit_many([request])[0]
 
     def submit_many(
         self, requests: Sequence[Union[IngestRequest, Any]]
@@ -549,16 +542,11 @@ class NousService:
         ]
         for request in normalized:
             self._validated_date(request)
-        tickets: List[IngestTicket] = []
+        tickets = [IngestTicket(request.doc_id) for request in normalized]
         with self._queue_lock:
             if self._closed:
                 raise ReproError("service is closed")
-            for request in normalized:
-                if not self._pending:
-                    self._first_pending_at = time.monotonic()
-                ticket = IngestTicket(request.doc_id)
-                self._pending.append((request, ticket))
-                tickets.append(ticket)
+            self._pending.extend(zip(normalized, tickets))
             self._queue_changed.notify_all()
         return tickets
 
@@ -595,19 +583,14 @@ class NousService:
                 if parsed_date is None:
                     raise ConfigError(f"unparseable date {date!r}")
             with self._engine_lock:
-                if self._storage is not None:
-                    with record_ingest(self.nous) as recorder:
-                        accepted = self.nous.ingest_facts(
-                            facts, date=parsed_date, source=source,
-                            confidence=confidence,
-                        )
-                    assert recorder.record is not None
-                    self._append_wal(recorder.record)
-                else:
+                with self._recorded_ingest() as recorder:
                     accepted = self.nous.ingest_facts(
                         facts, date=parsed_date, source=source,
                         confidence=confidence,
                     )
+                if recorder is not None:
+                    assert recorder.record is not None
+                    self._append_wal(recorder.record)
                 version = self.nous.dynamic.version
         except Exception as exc:  # noqa: BLE001 - envelope boundary
             return ApiResponse.failure(exc, kind="ingest")
@@ -668,14 +651,15 @@ class NousService:
     def flush(self, timeout: Optional[float] = None) -> None:
         """Block until every submitted document has been ingested.
 
-        With a running drainer this waits for the queue to empty
-        (asking the drainer to skip its batching delay); without one
-        (``auto_start=False``) it drains synchronously in the calling
-        thread, in ``max_batch``-sized chunks.
+        With a running drainer this waits until the queue is empty and
+        no batch is in flight; without one (``auto_start=False``) it
+        drains synchronously in the calling thread, in
+        ``max_batch``-sized chunks.
         """
         if self._drainer is None:
             while True:
-                batch = self._take_batch()
+                with self._queue_lock:
+                    batch = self._take_batch()
                 if not batch:
                     return
                 self._ingest_batch(batch)
@@ -683,58 +667,33 @@ class NousService:
             None if timeout is None else time.monotonic() + timeout
         )
         with self._queue_lock:
-            self._flush_requested = True
-            self._queue_changed.notify_all()
-            try:
-                while self._pending or self._draining:
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise ReproError("flush timed out")
-                    self._idle.wait(timeout=remaining)
-            finally:
-                # Always restore the batching delay — a timed-out flush
-                # must not leave the drainer in drain-immediately mode.
-                self._flush_requested = False
+            while self._pending or self._draining:
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise ReproError("flush timed out")
+                self._idle.wait(timeout=remaining)
 
     # ------------------------------------------------------------------
     # the drainer
     # ------------------------------------------------------------------
     def _take_batch(self) -> List[Tuple[IngestRequest, IngestTicket]]:
-        """Pop up to ``max_batch`` pending documents (no waiting)."""
-        with self._queue_lock:
-            batch: List[Tuple[IngestRequest, IngestTicket]] = []
-            while self._pending and len(batch) < self.service_config.max_batch:
-                batch.append(self._pending.popleft())
-            return batch
+        """Pop up to ``max_batch`` pending documents (caller holds the
+        queue lock)."""
+        count = min(len(self._pending), self.service_config.max_batch)
+        return [self._pending.popleft() for _ in range(count)]
 
     def _drain_loop(self) -> None:
-        cfg = self.service_config
         while True:
             with self._queue_lock:
-                while not self._pending and not self._closed:
+                while not self._pending:
+                    if self._closed:
+                        return
                     self._queue_changed.wait()
-                if not self._pending and self._closed:
-                    return
-                # Micro-batching: wait (bounded) for the batch to fill,
-                # unless a flush or shutdown wants the queue empty now.
-                deadline = self._first_pending_at + cfg.max_delay
-                while (
-                    len(self._pending) < cfg.max_batch
-                    and not self._flush_requested
-                    and not self._closed
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._queue_changed.wait(timeout=remaining)
-                batch = []
-                while self._pending and len(batch) < cfg.max_batch:
-                    batch.append(self._pending.popleft())
-                if self._pending:
-                    # Left-over documents start a fresh delay window.
-                    self._first_pending_at = time.monotonic()
+                # Group commit: take what is pending now; whatever is
+                # submitted while this batch runs is the next batch.
+                batch = self._take_batch()
                 self._draining = True
             try:
                 self._ingest_batch(batch)
@@ -756,35 +715,25 @@ class NousService:
         amortisation a direct whole-corpus ``ingest_batch`` performs),
         instead of paying it once per drain.
         """
-        if not batch:
-            return
         articles = [
             _QueuedArticle(request) for request, _ticket in batch
         ]
         try:
             with self._engine_lock:
-                if self._storage is not None:
-                    # Record the batch's effects and append them to the
-                    # WAL *before* any ticket is fulfilled: a fulfilled
-                    # ticket is a durability acknowledgment.
-                    with record_ingest(self.nous) as recorder:
-                        results = self.nous.ingest_batch(
-                            articles, defer_retrain=True
-                        )
-                        if self.pending_count == 0:
-                            self.nous.retrain_if_due()
-                    self.batches_drained += 1
-                    self.documents_drained += len(batch)
-                    assert recorder.record is not None
-                    self._append_wal(recorder.record)
-                else:
+                with self._recorded_ingest() as recorder:
                     results = self.nous.ingest_batch(
                         articles, defer_retrain=True
                     )
                     if self.pending_count == 0:
                         self.nous.retrain_if_due()
-                    self.batches_drained += 1
-                    self.documents_drained += len(batch)
+                self.batches_drained += 1
+                self.documents_drained += len(batch)
+                if recorder is not None:
+                    # The batch's effects reach the WAL *before* any
+                    # ticket is fulfilled: a fulfilled ticket is a
+                    # durability acknowledgment.
+                    assert recorder.record is not None
+                    self._append_wal(recorder.record)
                 version = self.nous.dynamic.version
         except Exception as exc:  # noqa: BLE001 - envelope boundary
             failure = ApiResponse.failure(exc, kind="ingest")

@@ -418,7 +418,7 @@ class TestGatewayDropIn:
             kb_factory=kb_factory,
             num_shards=3,
             config=NousConfig(window_size=200, lda_iterations=8, seed=5),
-            service_config=ServiceConfig(auto_start=True, max_delay=0.01),
+            service_config=ServiceConfig(auto_start=True),
         )
         try:
             with NousGateway(cluster, GatewayConfig(port=0)) as gateway:

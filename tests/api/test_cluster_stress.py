@@ -117,7 +117,7 @@ def stressed(request):
         config=NousConfig(
             window_size=60, min_support=2, lda_iterations=8, seed=5
         ),
-        service_config=ServiceConfig(max_batch=8, max_delay=0.02),
+        service_config=ServiceConfig(max_batch=8),
         shard_mode=request.param,
         kb_spec="drone",
     )

@@ -392,6 +392,32 @@ class TestSubscribeStream:
         assert frames[-1]["event"] == "bye"
         assert frames[-1]["reason"] == "max_seconds"
 
+    def test_bye_is_written_after_the_subscription_is_detached(
+        self, client, service, monkeypatch
+    ):
+        """Regression: the stream wrote ``bye`` and only then detached,
+        so a client that had read ``bye`` could still find its
+        subscription (and quota slot) registered."""
+        bye_read = threading.Event()
+        detach = service.unsubscribe
+
+        def slow_detach(subscription):
+            # Give a client that already holds `bye` every chance to
+            # look first; with the fix nobody can hold it yet.
+            bye_read.wait(timeout=0.3)
+            detach(subscription)
+
+        monkeypatch.setattr(service, "unsubscribe", slow_detach)
+        before = service.subscription_count
+        with client.subscribe(
+            "show trending patterns", max_seconds=0.1, timeout=30.0
+        ) as stream:
+            assert next(stream)["event"] == "subscribed"
+            assert service.subscription_count == before + 1
+            assert next(stream)["event"] == "bye"
+            bye_read.set()
+            assert service.subscription_count == before
+
     def test_disconnect_detaches_subscription(self, client, service):
         before = service.subscription_count
         stream = client.subscribe(

@@ -1,10 +1,11 @@
 """NousService: the async ingestion queue and envelope discipline.
 
 The queue contract: ``submit`` returns a ticket immediately; a drainer
-micro-batches pending documents into ``Nous.ingest_batch`` bounded by
-``max_batch`` (backpressure: full batches drain at once) and
-``max_delay`` (latency bound for partial batches); ``flush`` leaves the
-queue empty; results are identical to calling ``ingest_batch`` directly.
+group-commits pending documents into ``Nous.ingest_batch`` in batches of
+at most ``max_batch`` (it takes what is pending the moment it is free —
+no fill delay; tests/api/test_serving_loop.py pins that); ``flush``
+leaves the queue empty; results are identical to calling
+``ingest_batch`` directly.
 """
 
 import threading
@@ -76,16 +77,19 @@ class TestSyncQueue:
             assert payload["accepted"] == direct_result.accepted
             assert payload["raw_triples"] == direct_result.raw_triples
 
-    def test_retrain_amortised_across_micro_batches(self):
+    @pytest.mark.parametrize("auto_start", [False, True])
+    def test_retrain_amortised_across_micro_batches(self, auto_start):
         # A busy period of several micro-batches must retrain once, when
         # the queue goes idle — not once per drain (that fixed cost is
-        # what the 1.3x queue-overhead gate polices).
+        # what the 1.3x queue-overhead gate polices).  submit_many is
+        # atomic, so the background drainer carves the same four full
+        # batches the inline flush does.
         kb, articles = _corpus(n=12)
         config = dict(PIPELINE_CONFIG)
         config["retrain_every"] = 1  # due after every accepted fact
         service = NousService(
             kb=kb, config=NousConfig(**config),
-            service_config=ServiceConfig(auto_start=False, max_batch=3),
+            service_config=ServiceConfig(auto_start=auto_start, max_batch=3),
         )
         retrains = []
         original = service.nous.estimator.retrain
@@ -95,11 +99,14 @@ class TestSyncQueue:
             return original(store)
 
         service.nous.estimator.retrain = recording
-        service.submit_many(articles)
-        service.flush()
-        assert service.batches_drained == 4
-        # One retrain, at end-of-period (all 12 documents ingested).
-        assert retrains == [len(articles)]
+        try:
+            service.submit_many(articles)
+            service.flush(timeout=30.0)
+            assert service.batches_drained == 4
+            # One retrain, at end-of-period (all 12 documents ingested).
+            assert retrains == [len(articles)]
+        finally:
+            service.close()
 
     def test_ingest_is_submit_plus_flush(self):
         kb, articles = _corpus(n=3)
@@ -137,7 +144,7 @@ class TestAsyncQueue:
 
     def _service(self, **overrides):
         kb, articles = _corpus()
-        defaults = dict(max_batch=4, max_delay=0.02)
+        defaults = dict(max_batch=4)
         defaults.update(overrides)
         service = NousService(
             kb=kb, config=NousConfig(**PIPELINE_CONFIG),
@@ -145,7 +152,7 @@ class TestAsyncQueue:
         )
         return service, articles
 
-    def test_single_document_drains_after_max_delay(self):
+    def test_single_document_drains_on_its_own(self):
         service, articles = self._service()
         try:
             ticket = service.submit(articles[0])
@@ -155,9 +162,8 @@ class TestAsyncQueue:
         finally:
             service.close()
 
-    def test_full_batch_drains_without_waiting_for_delay(self):
-        # A long max_delay must NOT delay a full batch (backpressure).
-        service, articles = self._service(max_batch=4, max_delay=30.0)
+    def test_full_batch_drains(self):
+        service, articles = self._service(max_batch=4)
         try:
             tickets = service.submit_many(articles[:4])
             for ticket in tickets:
@@ -167,7 +173,7 @@ class TestAsyncQueue:
             service.close()
 
     def test_concurrent_submitters_share_batches(self):
-        service, articles = self._service(max_batch=6, max_delay=0.1)
+        service, articles = self._service(max_batch=6)
         sizes = []
         original = service.nous.ingest_batch
 
@@ -208,7 +214,7 @@ class TestAsyncQueue:
             service.close()
 
     def test_queries_are_consistent_during_ingestion(self):
-        service, articles = self._service(max_batch=3, max_delay=0.01)
+        service, articles = self._service(max_batch=3)
         try:
             service.submit_many(articles)
             # Interleaved queries must never error or see torn state.
@@ -222,7 +228,7 @@ class TestAsyncQueue:
             service.close()
 
     def test_close_drains_outstanding_work(self):
-        service, articles = self._service(max_batch=4, max_delay=5.0)
+        service, articles = self._service(max_batch=4)
         tickets = service.submit_many(articles[:2])
         service.close()
         assert all(t.done() for t in tickets)
@@ -306,7 +312,7 @@ class TestEnvelopeDiscipline:
         with pytest.raises(ConfigError):
             ServiceConfig(max_batch=0).validate()
         with pytest.raises(ConfigError):
-            ServiceConfig(max_delay=-1.0).validate()
+            ServiceConfig(snapshot_every=-1).validate()
 
     def test_unparseable_date_rejected_at_submission(self, service):
         # A date string that fails to parse must fail the request loudly
@@ -323,20 +329,29 @@ class TestEnvelopeDiscipline:
         assert not bad_facts.ok
         assert bad_facts.error.code == "config"
 
-    def test_flush_timeout_restores_batching_delay(self):
+    def test_timed_out_flush_raises_and_service_still_drains(self):
         kb, articles = _corpus(n=2)
         service = NousService(
             kb=kb, config=NousConfig(**PIPELINE_CONFIG),
-            # Long fill delay: the submitted document is still pending
-            # when the zero-timeout flush gives up.
-            service_config=ServiceConfig(max_batch=4, max_delay=30.0),
+            service_config=ServiceConfig(max_batch=4),
         )
+        # Hold the drain so the document is still in flight when the
+        # zero-timeout flush gives up.
+        release = threading.Event()
+        original = service.nous.ingest_batch
+
+        def held(batch, **kwargs):
+            release.wait(timeout=30.0)
+            return original(batch, **kwargs)
+
+        service.nous.ingest_batch = held
         try:
-            service.submit(articles[0])
+            ticket = service.submit(articles[0])
             with pytest.raises(ReproError, match="flush timed out"):
                 service.flush(timeout=0.0)
-            # The failed flush must not leave drain-immediately mode on.
-            assert service._flush_requested is False
+            release.set()
             service.flush(timeout=30.0)
+            assert ticket.done() and ticket.result(timeout=0).ok
         finally:
+            release.set()
             service.close()

@@ -130,7 +130,7 @@ class TestAddedDeltas:
                 window_size=50, min_support=2, lda_iterations=5,
                 retrain_every=0,
             ),
-            service_config=ServiceConfig(max_batch=4, max_delay=0.01),
+            service_config=ServiceConfig(max_batch=4),
         )
         try:
             def explode(update):
